@@ -242,19 +242,19 @@ func BenchmarkAblationHashConsing(b *testing.B) {
 				s.Tuples = append(s.Tuples, pl.Tuple{Vals: tuple.Ints(int64(i), int64(j)), P: 1, Lin: aonet.Epsilon})
 			}
 		}
-		rs, _, err := pl.SafeJoin(r, s, net)
+		rs, _, err := pl.SafeJoinCtx(nil, r, s, net)
 		if err != nil {
 			b.Fatal(err)
 		}
-		proj, err := pl.Project(rs, []string{"y"}, net)
+		proj, err := pl.ProjectCtx(nil, rs, []string{"y"}, net)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rst, _, err := pl.SafeJoin(proj, t, net)
+		rst, _, err := pl.SafeJoinCtx(nil, proj, t, net)
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := pl.Project(rst, nil, net)
+		out, err := pl.ProjectCtx(nil, rst, nil, net)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -139,7 +139,7 @@ func TestPdbbenchUnknownExperiment(t *testing.T) {
 	if !strings.Contains(out, `unknown experiment "bogus"`) {
 		t.Fatalf("error does not name the bad experiment:\n%s", out)
 	}
-	for _, name := range []string{"table1", "fig5", "fig6", "fig7", "pipeline", "cache",
+	for _, name := range []string{"table1", "fig5", "fig6", "fig7", "cache",
 		"planner", "incremental", "topk", "spill", "compile"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("error does not list valid experiment %q:\n%s", name, out)

@@ -25,23 +25,22 @@ import (
 
 // experimentNames lists every runnable experiment, in "all"'s execution
 // order; the unknown-experiment error enumerates it for the user.
-var experimentNames = []string{"table1", "fig5", "fig6", "fig7", "pipeline", "cache", "planner", "incremental", "topk", "spill", "compile"}
+var experimentNames = []string{"table1", "fig5", "fig6", "fig7", "cache", "planner", "incremental", "topk", "spill", "compile"}
 
 func main() {
 	var (
-		experiment  = flag.String("experiment", "all", "table1, fig5, fig6, fig7, pipeline, cache, planner, incremental, topk, spill, compile or all")
+		experiment  = flag.String("experiment", "all", "table1, fig5, fig6, fig7, cache, planner, incremental, topk, spill, compile or all")
 		scaleName   = flag.String("scale", "small", "small or paper")
 		asJSON      = flag.Bool("json", false, "emit measurements as JSON instead of tables (fig experiments)")
-		parallelism = flag.Int("parallelism", 0, "worker goroutines for operators and per-answer inference (0 or 1 = sequential; results are identical)")
+		parallelism = flag.Int("parallelism", 0, "worker goroutines for per-answer inference (0 or 1 = sequential; results are identical)")
 		timeout     = flag.Duration("timeout", 0, "wall-clock budget per evaluation, e.g. 30s (0 = none)")
-		benchOut    = flag.String("bench-out", "BENCH_pipeline.json", "file for the pipeline benchmark artifact")
 		cacheOut    = flag.String("cache-out", "BENCH_cache.json", "file for the cache benchmark artifact")
 		plannerOut  = flag.String("planner-out", "BENCH_planner.json", "file for the planner benchmark artifact")
 		incrOut     = flag.String("incremental-out", "BENCH_incremental.json", "file for the incremental benchmark artifact")
 		topkOut     = flag.String("topk-out", "BENCH_topk.json", "file for the top-k benchmark artifact")
 		spillOut    = flag.String("spill-out", "BENCH_spill.json", "file for the spill benchmark artifact")
 		compileOut  = flag.String("compile-out", "BENCH_compile.json", "file for the compiled-circuit benchmark artifact")
-		memBudget   = flag.Int64("mem-budget", 0, "operator scratch memory budget in bytes for the fig/pipeline experiments; join/dedup spill to disk past it, results unchanged (0 = unlimited)")
+		memBudget   = flag.Int64("mem-budget", 0, "operator scratch memory budget in bytes for the fig experiments; join/dedup spill to disk past it, results unchanged (0 = unlimited)")
 		withMemo    = flag.Bool("memo", true, "cache experiment: include the memoized-inference comparison")
 		withCache   = flag.Bool("cache", true, "cache experiment: include the server result-cache comparison")
 		metrics     = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address for the life of the process, e.g. localhost:6060")
@@ -129,32 +128,6 @@ func main() {
 			}
 			experiments.Print(os.Stdout,
 				fmt.Sprintf("Figure 7: varying the fraction of deterministic tuples, r_f=1 (scale=%s, per-group ms)", sc.Name), "r_d", ms)
-			fmt.Println()
-		case "pipeline":
-			points, err := experiments.PipelineBench(sc, *parallelism)
-			if err != nil {
-				fatal(err)
-			}
-			f, err := os.Create(*benchOut)
-			if err != nil {
-				fatal(err)
-			}
-			if err := experiments.WritePipelineJSON(f, points); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("== Pipeline: serial vs parallel partial-lineage evaluation (scale=%s) ==\n", sc.Name)
-			fmt.Printf("%-6s %14s %14s %8s\n", "query", "serial (ns)", "parallel (ns)", "speedup")
-			for _, pt := range points {
-				if pt.Err != "" {
-					fmt.Printf("%-6s err: %s\n", pt.Query, pt.Err)
-					continue
-				}
-				fmt.Printf("%-6s %14d %14d %7.2fx\n", pt.Query, pt.SerialNs, pt.ParallelNs, pt.Speedup)
-			}
-			fmt.Println("pipeline benchmark written to", *benchOut)
 			fmt.Println()
 		case "cache":
 			rep, err := experiments.CacheBench(sc, experiments.CacheOptions{Memo: *withMemo, Cache: *withCache})

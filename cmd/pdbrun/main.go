@@ -33,7 +33,7 @@ func main() {
 		strategy  = flag.String("strategy", "partial", "evaluation strategy: partial, safe, network, dnf, mc or dissociation")
 		samples   = flag.Int("samples", 100000, "samples for mc and the approximate fallback")
 		parallel  = flag.Int("parallel", 1, "deprecated alias for -parallelism")
-		workers   = flag.Int("parallelism", 0, "worker goroutines for operators and per-answer inference (0 = use -parallel; results are identical to sequential)")
+		workers   = flag.Int("parallelism", 0, "worker goroutines for per-answer inference (0 = use -parallel; results are identical to sequential)")
 		timeout   = flag.Duration("timeout", 0, "abort the evaluation after this wall-clock duration, e.g. 30s (0 = none)")
 		memBudget = flag.Int64("mem-budget", 0, "operator scratch memory budget in bytes; join/dedup partitions spill to disk past it, results unchanged (0 = unlimited)")
 		width     = flag.Int("width", 0, "exact-inference width cap (0 = default)")

@@ -19,8 +19,8 @@ import (
 //   - budgets: caps on emitted rows, network growth and wall time, so a
 //     phase-transition instance degrades with a typed error instead of
 //     wedging the process;
-//   - parallelism: the worker count intra-operator pipelines (partitioned
-//     Join/Dedup) and per-answer inference fan-out may use;
+//   - parallelism: the worker count the per-answer inference fan-out may
+//     use (answers are independent; the pl operators run on one goroutine);
 //   - statistics: the per-operator trace sink (OpStat) with nested own-time
 //     accounting, replacing the executor's childTime/childNodes fields.
 //
@@ -113,8 +113,8 @@ type ExecContext struct {
 type ExecConfig struct {
 	// Budget caps rows, network nodes and wall time (zero = unlimited).
 	Budget Budget
-	// Parallelism is the worker count granted to parallel operator
-	// pipelines and per-answer inference (<= 1 means sequential).
+	// Parallelism is the worker count granted to per-answer inference
+	// (<= 1 means sequential).
 	Parallelism int
 	// Trace enables the per-operator statistics sink.
 	Trace bool
@@ -360,9 +360,8 @@ func (e *ExecContext) RecordOp(s OpStat) {
 // RecordSubOp records a detail span as a child of the currently open
 // StartOp span: the OpStat's Depth is set to the current nesting level (one
 // below the open span's own recording depth). It must be called from the
-// recording goroutine — the one that called StartOp — which is how the
-// parallel pl operators keep their partition sub-spans deterministic: the
-// workers measure, the coordinating goroutine records in partition order.
+// recording goroutine — the one that called StartOp; the spill operators
+// record their partition sub-spans through it, in partition order.
 func (e *ExecContext) RecordSubOp(s OpStat) {
 	if e == nil || !e.tracing {
 		return
@@ -376,16 +375,14 @@ func (e *ExecContext) RecordSubOp(s OpStat) {
 // Ordering guarantees: ops appear in exactly the order they were recorded,
 // and every producer in this repository records deterministically —
 // FinishOp spans arrive in post-order (children before parents) from the
-// single-goroutine plan executor; partition sub-spans of the parallel
-// Join/Dedup operators are recorded by the coordinating goroutine in
-// ascending partition order after the workers finish (never from the
-// workers themselves); and the engine records inference spans after the
+// single-goroutine plan executor; partition sub-spans of the spill
+// Join/Dedup operators are recorded by that same goroutine in ascending
+// partition order; and the engine records inference spans after the
 // parallel inference stage completes, in answer order. The trace is
-// therefore fully deterministic for a fixed Parallelism (byte for byte once
-// wall times are masked), and identical across Parallelism settings except
-// for the partition sub-spans, whose count equals the worker count actually
-// used. Each OpStat's Depth reconstructs the
-// span tree from this flat post-order list (see internal/obs.BuildTrace).
+// therefore fully deterministic (byte for byte once wall times are masked)
+// and identical across Parallelism settings. Each OpStat's Depth
+// reconstructs the span tree from this flat post-order list (see
+// internal/obs.BuildTrace).
 func (e *ExecContext) Ops() []OpStat {
 	if e == nil {
 		return nil

@@ -99,7 +99,7 @@ type OpStat struct {
 	// Op renders the operator.
 	Op string
 	// Kind classifies the span for tooling: "scan", "join", "project",
-	// "join.partition", "join.spill", "project.spill", "ground", "infer",
+	// "join.spill", "project.spill", "ground", "infer",
 	// "infer.answer".
 	Kind string
 	// Depth is the span's nesting level (0 = a root of the trace forest).

@@ -57,9 +57,9 @@ type Options struct {
 	ExactBudget int
 	// Parallelism is the number of goroutines granted to the evaluation:
 	// per-answer probability computations (inference or lineage confidence)
-	// fan out across it, and the pL Join/Dedup operators partition their
-	// hash tables over it. Answers are independent, so inference scales
-	// near-linearly; the parallel operators are byte-identical to serial.
+	// fan out across it. Answers are independent, so inference scales
+	// near-linearly; the pL operators always run on one goroutine, so the
+	// network is the same at every setting.
 	// 0 or 1 means sequential; results are deterministic either way
 	// (approximate paths derive their seed from Seed and the answer
 	// identity).

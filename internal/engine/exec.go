@@ -38,13 +38,9 @@ func evalNetwork(ec *core.ExecContext, db *relation.Database, q *query.Query, pl
 	if opts.NoCons {
 		res.Net.SetHashConsing(false)
 	}
-	// Per-evaluation shared memo tables (disabled by NoMemo): exact results
-	// are bit-identical either way, only the work repeats.
+	// Per-evaluation shared memo tables, built by build() once it knows
+	// they will be read.
 	var lm *lineage.Memo
-	if !opts.NoMemo {
-		lm = lineage.NewMemo(lineage.MemoConfig{NoIntern: opts.NoIntern})
-		opts.Inference.Memo = inference.NewMemo()
-	}
 	// Per-evaluation circuit accumulator: the cache itself is shared across
 	// queries, so counters for this evaluation's stats live here.
 	if opts.circuitCache() != nil {
@@ -110,12 +106,18 @@ func evalNetwork(ec *core.ExecContext, db *relation.Database, q *query.Query, pl
 				expansions[i] = expansion{f: f, probs: probs, err: err}
 			}
 		}
-		// The shared tables only pay for themselves across answers: with a
-		// single inference job the solver's per-call memo already catches
-		// every repeat, so drop them and skip their synchronization cost.
-		if len(distinct) <= 1 {
-			lm = nil
-			opts.Inference.Memo = nil
+		// Shared memo tables (disabled by NoMemo): exact results are
+		// bit-identical either way, only the work repeats. They only pay
+		// for themselves across answers — with a single inference job the
+		// solver's per-call memo already catches every repeat — and the
+		// lineage table is read only by the Shannon backend, which the
+		// ranked dispatch replaces with the compiled circuit whenever a
+		// circuit cache is attached.
+		if !opts.NoMemo && len(distinct) >= 2 {
+			opts.Inference.Memo = inference.NewMemo()
+			if opts.circuitCache() == nil || opts.NoAdaptivePlan {
+				lm = lineage.NewMemo(lineage.MemoConfig{NoIntern: opts.NoIntern})
+			}
 		}
 		return len(distinct), nil
 	}

@@ -52,8 +52,8 @@ type Scale struct {
 	Samples int
 	// MaxWidth caps exact inference before the fallback engages.
 	MaxWidth int
-	// Parallelism is the worker count for the operator pipeline and
-	// per-answer inference (0 or 1 = sequential; results are identical).
+	// Parallelism is the worker count for per-answer inference (0 or 1 =
+	// sequential; results are identical).
 	Parallelism int
 	// Timeout bounds each individual evaluation's wall clock (0 = none);
 	// a timed-out point reports its error instead of a measurement.

@@ -2,84 +2,17 @@ package pl
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/aonet"
 	"repro/internal/core"
 	"repro/internal/tuple"
 )
 
-// This file provides the context-aware variants of the pL operators: the
-// same algebra as pl.go, threaded through a core.ExecContext for
-// cancellation, row/node budgets, and — for Join and Dedup — intra-operator
-// parallelism. The legacy entry points (Select, Join, Dedup, ...) delegate
-// here with a nil context, which is unbounded and sequential.
-//
-// Parallel Join and Dedup partition their hash tables by a hash of the
-// grouping key and process partitions on a bounded worker pool
-// (ec.Parallelism() workers). Every output-order- or network-mutating step
-// stays in a serial merge phase that walks the probe/input side in its
-// original order, so the output relation and every allocated network node
-// ID are byte-identical to the sequential operator — asserted by
-// TestQuickJoinParallelIdentical/TestQuickDedupParallelIdentical against
-// aonet's canonical encoding. Workers never touch the shared network
-// (aonet.Network is not goroutine-safe); they only bucket, probe and
-// materialize value tuples.
-
-// parallelMinRows is the input size below which the parallel paths fall
-// back to the serial loop: partitioning costs more than it saves on tiny
-// relations.
-const parallelMinRows = 128
-
-// workersFor picks the worker count for an input of n rows.
-func workersFor(ec *core.ExecContext, n int) int {
-	w := ec.Parallelism()
-	if n < parallelMinRows {
-		return 1
-	}
-	if w > n {
-		w = n
-	}
-	return w
-}
-
-// hashPart assigns a grouping key to one of w partitions (FNV-1a).
-func hashPart(s string, w int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return int(h % uint64(w))
-}
-
-// runWorkers runs f(0..w-1) concurrently and returns the first error.
-func runWorkers(w int, f func(p int) error) error {
-	if w == 1 {
-		return f(0)
-	}
-	errs := make([]error, w)
-	var wg sync.WaitGroup
-	for p := 0; p < w; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			errs[p] = f(p)
-		}(p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// This file holds the pL operators of Sections 5.3.1–5.3.3, each threaded
+// through a core.ExecContext for cancellation and row/node budgets. A nil
+// context is unbounded. Join and Dedup run in memory unless the context
+// carries a memory budget, in which case the spill variants of spill.go
+// produce the same bytes from bounded state.
 
 // rowCharger batches ChargeRows calls so tight loops pay one atomic per
 // core.CheckInterval rows instead of one per row.
@@ -105,7 +38,8 @@ func (c *rowCharger) flush() error {
 	return err
 }
 
-// SelectCtx is Select with cancellation and row-budget checks.
+// SelectCtx returns the tuples satisfying pred. Selection over pL-relations
+// is always safe (Section 5.3.1).
 func SelectCtx(ec *core.ExecContext, r *Relation, pred func(tuple.Tuple) bool) (*Relation, error) {
 	out := &Relation{Attrs: r.Attrs.Clone()}
 	chk := core.Check{EC: ec}
@@ -127,9 +61,10 @@ func SelectCtx(ec *core.ExecContext, r *Relation, pred func(tuple.Tuple) bool) (
 	return out, nil
 }
 
-// IndProjectCtx is IndProject with cancellation and row-budget checks. The
-// independent-project stage allocates no network nodes and groups on
-// (values, lineage), so it runs sequentially; its cost is one hash pass.
+// IndProjectCtx performs the independent-project stage of Section 5.3.2:
+// project onto cols but merge only tuples that share the same lineage node
+// (projecting on A ∪ {l}), combining probabilities as p = 1 - ∏(1 - p_i).
+// The network is not modified; the cost is one hash pass.
 func IndProjectCtx(ec *core.ExecContext, r *Relation, cols []string) (*Relation, error) {
 	return IndProjectStreamCtx(ec, r.Attrs, r.Iter(), cols)
 }
@@ -181,14 +116,17 @@ func IndProjectStreamCtx(ec *core.ExecContext, attrs tuple.Schema, it Iterator, 
 	return out, nil
 }
 
-// CondCtx is Cond with node-budget accounting.
+// CondCtx is Cond with the new node charged to the node budget.
 func CondCtx(ec *core.ExecContext, r *Relation, i int, net *aonet.Network) error {
 	before := net.Len()
 	Cond(r, i, net)
 	return ec.ChargeNodes(net.Len() - before)
 }
 
-// CSetCtx is CSet with cancellation checks over both scans.
+// CSetCtx returns the indexes in r1 of the offending tuples with respect to
+// a join with r2 (Definition 5.14): uncertain tuples (p < 1) that join two or
+// more tuples of r2. joinCols names the join attributes (shared attribute
+// names).
 func CSetCtx(ec *core.ExecContext, r1, r2 *Relation, joinCols []string) ([]int, error) {
 	idx1, err := r1.Attrs.Indexes(joinCols)
 	if err != nil {
@@ -218,8 +156,8 @@ func CSetCtx(ec *core.ExecContext, r1, r2 *Relation, joinCols []string) ([]int, 
 	return out, nil
 }
 
-// joinShape is the compiled schema arithmetic shared by the serial and
-// parallel join paths.
+// joinShape is the compiled schema arithmetic shared by the in-memory and
+// spill join paths.
 type joinShape struct {
 	idx1, idx2 []int
 	outAttrs   tuple.Schema
@@ -248,8 +186,7 @@ func compileJoin(r1, r2 *Relation) (joinShape, error) {
 }
 
 // joinTuple combines one matching pair per Definition 5.13; needGate is true
-// for symbolic×symbolic pairs, whose And node the (serial) caller must
-// allocate.
+// for symbolic×symbolic pairs, whose And node the caller must allocate.
 func joinTuple(t1, t2 Tuple, rest2 []int) (nt Tuple, needGate bool) {
 	vals := t1.Vals.Concat(t2.Vals.Project(rest2))
 	switch {
@@ -272,11 +209,19 @@ func andEdges(t1, t2 Tuple) []aonet.Edge {
 	}
 }
 
-// JoinCtx is Join with cancellation and budget checks; with an ExecContext
-// granting parallelism > 1 the hash table is partitioned by join-key hash
-// and built/probed on a worker pool, with a deterministic serial merge that
-// allocates And nodes in probe order. The result is identical to the serial
-// join, node IDs included.
+// JoinCtx computes r1 ⋈_pL r2 (Definition 5.13), the natural join on the
+// shared attribute names. For tuple pairs where both lineages are
+// non-trivial, a new And node over the two (lineage, probability) pairs is
+// created and the output probability is 1; otherwise the probabilities
+// multiply and the non-trivial lineage (if any) is inherited.
+//
+// JoinCtx does NOT condition its inputs; per Theorem 5.16 the caller must
+// first condition both sides on their cSets for the result to obey the
+// possible-worlds semantics. Use SafeJoinCtx for the conditioned combination.
+//
+// The join runs in memory unless the context carries a memory budget, which
+// selects the spill join (docs/SPILL.md): same output, node IDs included, at
+// any positive budget.
 func JoinCtx(ec *core.ExecContext, r1, r2 *Relation, net *aonet.Network) (*Relation, error) {
 	sh, err := compileJoin(r1, r2)
 	if err != nil {
@@ -285,11 +230,7 @@ func JoinCtx(ec *core.ExecContext, r1, r2 *Relation, net *aonet.Network) (*Relat
 	nodes0 := net.Len()
 	var out *Relation
 	if ec.MemBudget() > 0 {
-		// Bounded-memory execution (docs/SPILL.md): partitioned spill join,
-		// byte-identical to the serial join at any positive budget.
 		out, err = joinSpill(ec, r1, r2, net, sh)
-	} else if w := workersFor(ec, len(r1.Tuples)+len(r2.Tuples)); w > 1 {
-		out, err = joinParallel(ec, w, r1, r2, net, sh)
 	} else {
 		out, err = joinSerial(ec, r1, r2, net, sh)
 	}
@@ -337,171 +278,20 @@ func joinSerial(ec *core.ExecContext, r1, r2 *Relation, net *aonet.Network, sh j
 	return out, nil
 }
 
-// pendingJoin is one matched pair materialized by a worker, waiting for the
-// serial merge to (possibly) allocate its And node.
-type pendingJoin struct {
-	t        Tuple
-	j        int32 // r2 index, for gate edges
-	needGate bool
-}
-
-// partStat is one partition's trace measurement, filled by the owning
-// worker and recorded afterwards by the coordinating goroutine — workers
-// never touch the trace sink, so span order is deterministic (ascending
-// partition index) regardless of scheduling.
-type partStat struct {
-	rows int
-	dur  time.Duration
-}
-
-// recordPartitions emits one sub-span per partition under the currently
-// open operator span, in partition order. kind is "join.partition" or
-// "project.partition"; the sub-spans are measurements nested inside the
-// parent operator (their time is included in the parent's own time, unlike
-// FinishOp children).
-func recordPartitions(ec *core.ExecContext, kind string, parts []partStat) {
-	if !ec.Tracing() {
-		return
-	}
-	for p := range parts {
-		ec.RecordSubOp(core.OpStat{
-			Op:   fmt.Sprintf("partition %d/%d", p, len(parts)),
-			Kind: kind,
-			Rows: parts[p].rows,
-			Time: parts[p].dur,
-		})
-	}
-}
-
-func joinParallel(ec *core.ExecContext, w int, r1, r2 *Relation, net *aonet.Network, sh joinShape) (*Relation, error) {
-	keys1, err := parallelKeys(ec, w, r1.Tuples, sh.idx1)
-	if err != nil {
-		return nil, err
-	}
-	defer putKeySlice(ec, keys1)
-	keys2, err := parallelKeys(ec, w, r2.Tuples, sh.idx2)
-	if err != nil {
-		return nil, err
-	}
-	defer putKeySlice(ec, keys2)
-	// Each partition owns the keys hashing to it: it builds that slice of
-	// the hash table from r2 and probes it with its share of r1. pending is
-	// indexed by r1 position; each entry is written by exactly one worker.
-	pending := make([][]pendingJoin, len(r1.Tuples))
-	parts := make([]partStat, w)
-	err = runWorkers(w, func(p int) error {
-		start := time.Now()
-		chk := core.Check{EC: ec}
-		buckets := getJoinBuckets(ec)
-		defer putJoinBuckets(ec, buckets)
-		for j, k := range keys2 {
-			if hashPart(k, w) != p {
-				continue
-			}
-			if err := chk.Tick(); err != nil {
-				return err
-			}
-			buckets[k] = append(buckets[k], int32(j))
-		}
-		for i, k := range keys1 {
-			if hashPart(k, w) != p {
-				continue
-			}
-			if err := chk.Tick(); err != nil {
-				return err
-			}
-			matches := buckets[k]
-			if len(matches) == 0 {
-				continue
-			}
-			t1 := r1.Tuples[i]
-			row := make([]pendingJoin, 0, len(matches))
-			for _, j := range matches {
-				nt, needGate := joinTuple(t1, r2.Tuples[j], sh.rest2)
-				row = append(row, pendingJoin{t: nt, j: j, needGate: needGate})
-			}
-			pending[i] = row
-			parts[p].rows += len(row)
-		}
-		parts[p].dur = time.Since(start)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	recordPartitions(ec, "join.partition", parts)
-	// Serial merge in probe order: identical tuple order and And-node
-	// allocation order to joinSerial.
-	out := &Relation{Attrs: sh.outAttrs}
-	charge := rowCharger{ec: ec}
-	for i := range r1.Tuples {
-		for _, pj := range pending[i] {
-			nt := pj.t
-			if pj.needGate {
-				nt.Lin = net.AddGate(aonet.And, andEdges(r1.Tuples[i], r2.Tuples[pj.j]))
-			}
-			if err := charge.add(1); err != nil {
-				return nil, err
-			}
-			out.Tuples = append(out.Tuples, nt)
-		}
-	}
-	if err := charge.flush(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// parallelKeys materializes the grouping key of every tuple (KeyAt(idx), or
-// the full Key when idx is nil) on w workers over contiguous chunks.
-func parallelKeys(ec *core.ExecContext, w int, tuples []Tuple, idx []int) ([]string, error) {
-	keys := getKeySlice(ec, len(tuples))
-	if len(tuples) == 0 {
-		return keys, nil
-	}
-	chunk := (len(tuples) + w - 1) / w
-	err := runWorkers(w, func(p int) error {
-		lo := p * chunk
-		hi := lo + chunk
-		if hi > len(tuples) {
-			hi = len(tuples)
-		}
-		chk := core.Check{EC: ec}
-		for i := lo; i < hi; i++ {
-			if err := chk.Tick(); err != nil {
-				return err
-			}
-			if idx == nil {
-				keys[i] = tuples[i].Vals.Key()
-			} else {
-				keys[i] = tuples[i].Vals.KeyAt(idx)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		// Return the pooled slice before surfacing the error — losing it
-		// here would leak a checkout (the caller only puts what it got).
-		putKeySlice(ec, keys)
-		return nil, err
-	}
-	return keys, nil
-}
-
-// DedupCtx is Dedup with cancellation and budget checks; with parallelism
-// the value-grouping hash table is partitioned by key hash across a worker
-// pool, and a serial merge walks the input in first-occurrence order,
-// allocating Or nodes exactly as the sequential operator does.
+// DedupCtx performs the deduplication stage of Section 5.3.2: tuples with
+// equal values are replaced by a single tuple with probability 1 whose
+// lineage is a new Or node over the group members' (lineage, probability)
+// pairs. Groups of size one pass through unchanged. Theorem 5.10 shows
+// IndProjectCtx followed by DedupCtx equals the possible-worlds projection.
+//
+// Like JoinCtx, it runs in memory unless the context carries a memory
+// budget, which selects the byte-identical spill dedup.
 func DedupCtx(ec *core.ExecContext, r *Relation, net *aonet.Network) (*Relation, error) {
 	nodes0 := net.Len()
 	var out *Relation
 	var err error
 	if ec.MemBudget() > 0 {
-		// Bounded-memory execution (docs/SPILL.md): partitioned spill dedup,
-		// byte-identical to the serial dedup at any positive budget.
 		out, err = dedupSpill(ec, r.Attrs, r.Iter(), net)
-	} else if w := workersFor(ec, len(r.Tuples)); w > 1 {
-		out, err = dedupParallel(ec, w, r, net)
 	} else {
 		out, err = dedupSerial(ec, r, net)
 	}
@@ -556,61 +346,8 @@ func emitDedupGroup(out *Relation, r *Relation, members []int, net *aonet.Networ
 	out.Tuples = append(out.Tuples, Tuple{Vals: r.Tuples[members[0]].Vals, P: 1, Lin: lin})
 }
 
-func dedupParallel(ec *core.ExecContext, w int, r *Relation, net *aonet.Network) (*Relation, error) {
-	keys, err := parallelKeys(ec, w, r.Tuples, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer putKeySlice(ec, keys)
-	// Each partition groups the tuples whose key hashes to it. A group's
-	// members are recorded (ascending) under the group's first input index,
-	// so the merge can walk the input once in order: firstOf[i] is non-nil
-	// iff tuple i opens a group. Groups are wholly owned by one partition,
-	// so workers write disjoint entries.
-	firstOf := make([][]int, len(r.Tuples))
-	parts := make([]partStat, w)
-	err = runWorkers(w, func(p int) error {
-		start := time.Now()
-		chk := core.Check{EC: ec}
-		groups := getPartGroups(ec) // key -> first index
-		defer putPartGroups(ec, groups)
-		for i, k := range keys {
-			if hashPart(k, w) != p {
-				continue
-			}
-			if err := chk.Tick(); err != nil {
-				return err
-			}
-			first, ok := groups[k]
-			if !ok {
-				groups[k] = i
-				first = i
-			}
-			firstOf[first] = append(firstOf[first], i)
-		}
-		parts[p].rows = len(groups)
-		parts[p].dur = time.Since(start)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	recordPartitions(ec, "project.partition", parts)
-	out := &Relation{Attrs: r.Attrs.Clone()}
-	chk := core.Check{EC: ec}
-	for i := range r.Tuples {
-		if firstOf[i] == nil {
-			continue
-		}
-		if err := chk.Tick(); err != nil {
-			return nil, err
-		}
-		emitDedupGroup(out, r, firstOf[i], net)
-	}
-	return out, nil
-}
-
-// ProjectCtx is Project (IndProject then Dedup) over an ExecContext.
+// ProjectCtx is the full projection of Section 5.3.2: IndProjectCtx then
+// DedupCtx.
 func ProjectCtx(ec *core.ExecContext, r *Relation, cols []string, net *aonet.Network) (*Relation, error) {
 	ind, err := IndProjectCtx(ec, r, cols)
 	if err != nil {
@@ -631,9 +368,10 @@ func ProjectStreamCtx(ec *core.ExecContext, attrs tuple.Schema, it Iterator, col
 	return DedupCtx(ec, ind, net)
 }
 
-// SafeJoinCtx is SafeJoin over an ExecContext: cSets and conditioning are
-// checked and charged, and the join runs through JoinCtx (parallel when the
-// context grants workers).
+// SafeJoinCtx conditions both inputs on their cSets (Theorem 5.16) and then
+// joins them. It returns the join result and the number of offending tuples
+// conditioned, the per-operator distance from data-safety (Definition 3.4).
+// The inputs are cloned, not modified.
 func SafeJoinCtx(ec *core.ExecContext, r1, r2 *Relation, net *aonet.Network) (*Relation, int, error) {
 	shared := r1.Attrs.Shared(r2.Attrs)
 	c1, err := CSetCtx(ec, r1, r2, shared)

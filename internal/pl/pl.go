@@ -70,45 +70,6 @@ func (r *Relation) Clone() *Relation {
 	return out
 }
 
-// Select returns the tuples satisfying pred. Selection over pL-relations is
-// always safe (Section 5.3.1). SelectCtx is the cancellable variant.
-func Select(r *Relation, pred func(tuple.Tuple) bool) *Relation {
-	out, err := SelectCtx(nil, r, pred)
-	if err != nil {
-		panic("pl: SelectCtx failed without a context: " + err.Error())
-	}
-	return out
-}
-
-// IndProject performs the independent-project stage of Section 5.3.2:
-// project onto cols but merge only tuples that share the same lineage node
-// (projecting on A ∪ {l}), combining probabilities as
-// p = 1 - ∏(1 - p_i). The network is not modified. IndProjectCtx is the
-// cancellable variant.
-func IndProject(r *Relation, cols []string) (*Relation, error) {
-	return IndProjectCtx(nil, r, cols)
-}
-
-// Dedup performs the deduplication stage of Section 5.3.2: tuples with equal
-// values are replaced by a single tuple with probability 1 whose lineage is
-// a new Or node over the group members' (lineage, probability) pairs. Groups
-// of size one pass through unchanged. Theorem 5.10 shows IndProject followed
-// by Dedup equals the possible-worlds projection. DedupCtx is the
-// cancellable, optionally parallel variant.
-func Dedup(r *Relation, net *aonet.Network) *Relation {
-	out, err := DedupCtx(nil, r, net)
-	if err != nil {
-		panic("pl: DedupCtx failed without a context: " + err.Error())
-	}
-	return out
-}
-
-// Project is the full projection of Section 5.3.2: IndProject then Dedup.
-// ProjectCtx is the cancellable variant.
-func Project(r *Relation, cols []string, net *aonet.Network) (*Relation, error) {
-	return ProjectCtx(nil, r, cols, net)
-}
-
 // Cond conditions the relation on the tuple at index i (Section 5.3.3): its
 // probability becomes 1 and its lineage a node carrying the old probability.
 // Lemma 5.12 shows the distribution is unchanged. For trivial lineage the
@@ -133,37 +94,6 @@ func Cond(r *Relation, i int, net *aonet.Network) {
 		t.Lin = net.AddGate(aonet.And, []aonet.Edge{{From: t.Lin, P: t.P}})
 	}
 	t.P = 1
-}
-
-// CSet returns the indexes in r1 of the offending tuples with respect to a
-// join with r2 (Definition 5.14): uncertain tuples (p < 1) that join two or
-// more tuples of r2. joinCols names the join attributes (shared attribute
-// names). CSetCtx is the cancellable variant.
-func CSet(r1, r2 *Relation, joinCols []string) ([]int, error) {
-	return CSetCtx(nil, r1, r2, joinCols)
-}
-
-// Join computes r1 ⋈_pL r2 (Definition 5.13), the natural join on the shared
-// attribute names. For tuple pairs where both lineages are non-trivial, a
-// new And node over the two (lineage, probability) pairs is created and the
-// output probability is 1; otherwise the probabilities multiply and the
-// non-trivial lineage (if any) is inherited.
-//
-// Join does NOT condition its inputs; per Theorem 5.16 the caller must first
-// condition both sides on their cSets for the result to obey the
-// possible-worlds semantics. Use SafeJoin for the conditioned combination.
-// JoinCtx is the cancellable, optionally parallel variant.
-func Join(r1, r2 *Relation, net *aonet.Network) (*Relation, error) {
-	return JoinCtx(nil, r1, r2, net)
-}
-
-// SafeJoin conditions both inputs on their cSets (Theorem 5.16) and then
-// joins them. It returns the join result and the number of offending tuples
-// conditioned, the per-operator distance from data-safety (Definition 3.4).
-// The inputs are cloned, not modified. SafeJoinCtx is the cancellable
-// variant.
-func SafeJoin(r1, r2 *Relation, net *aonet.Network) (*Relation, int, error) {
-	return SafeJoinCtx(nil, r1, r2, net)
 }
 
 // Validate checks structural invariants: probabilities in [0,1], lineage

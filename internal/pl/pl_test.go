@@ -65,7 +65,10 @@ func TestSelect(t *testing.T) {
 		{Vals: tuple.Ints(1, 1), P: 0.5},
 		{Vals: tuple.Ints(2, 1), P: 0.5},
 	})
-	s := Select(r, func(v tuple.Tuple) bool { return v[0] == tuple.Int(1) })
+	s, err := SelectCtx(nil, r, func(v tuple.Tuple) bool { return v[0] == tuple.Int(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.Len() != 1 || !s.Tuples[0].Vals.Equal(tuple.Ints(1, 1)) {
 		t.Errorf("Select = %v", s)
 	}
@@ -83,7 +86,7 @@ func TestIndProjectMergesSameLineageOnly(t *testing.T) {
 		{Vals: tuple.Ints(1, 3), P: 0.5, Lin: leaf},
 		{Vals: tuple.Ints(2, 1), P: 0.2, Lin: aonet.Epsilon},
 	}}
-	got, err := IndProject(r, []string{"x"})
+	got, err := IndProjectCtx(nil, r, []string{"x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +100,7 @@ func TestIndProjectMergesSameLineageOnly(t *testing.T) {
 	if got.Tuples[1].Lin != leaf || got.Tuples[1].P != 0.5 {
 		t.Errorf("leaf-lineage tuple altered: %+v", got.Tuples[1])
 	}
-	if _, err := IndProject(r, []string{"nope"}); err == nil {
+	if _, err := IndProjectCtx(nil, r, []string{"nope"}); err == nil {
 		t.Error("unknown column accepted")
 	}
 }
@@ -111,7 +114,10 @@ func TestDedupCreatesOrNode(t *testing.T) {
 		{Vals: tuple.Ints(2), P: 0.4, Lin: aonet.Epsilon},
 	}}
 	before := net.Len()
-	got := Dedup(r, net)
+	got, err := DedupCtx(nil, r, net)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.Len() != 2 {
 		t.Fatalf("Dedup kept %d tuples", got.Len())
 	}
@@ -145,7 +151,7 @@ func TestProjectMatchesPossibleWorlds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		proj, err := Project(r, []string{r.Attrs[0]}, net)
+		proj, err := ProjectCtx(nil, r, []string{r.Attrs[0]}, net)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,14 +208,14 @@ func TestCSetDefinition(t *testing.T) {
 		{Vals: tuple.Ints(2, 2), P: 0.5},
 		{Vals: tuple.Ints(3, 1), P: 0.5},
 	})
-	c, err := CSet(r, s, []string{"x"})
+	c, err := CSetCtx(nil, r, s, []string{"x"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(c) != 1 || c[0] != 0 {
 		t.Errorf("cSet(R,S) = %v, want [0]", c)
 	}
-	c2, err := CSet(s, r, []string{"x"})
+	c2, err := CSetCtx(nil, s, r, []string{"x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +245,7 @@ func TestSafeJoinMatchesPossibleWorlds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		joined, _, err := SafeJoin(r1, r2, net)
+		joined, _, err := SafeJoinCtx(nil, r1, r2, net)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +281,7 @@ func TestUnconditionedJoinViolatesSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Join(r, s, net)
+	plain, err := JoinCtx(nil, r, s, net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +299,7 @@ func TestUnconditionedJoinViolatesSemantics(t *testing.T) {
 		t.Error("unconditioned join unexpectedly matched possible-worlds semantics")
 	}
 	net2, r2, s2 := build()
-	safe, conditioned, err := SafeJoin(r2, s2, net2)
+	safe, conditioned, err := SafeJoinCtx(nil, r2, s2, net2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,14 +333,14 @@ func TestSection42Walkthrough(t *testing.T) {
 		{Vals: tuple.Ints(3, 1), P: 0.15},
 		{Vals: tuple.Ints(4, 1), P: 0.16},
 	})
-	c, err := CSet(r, s, []string{"x"})
+	c, err := CSetCtx(nil, r, s, []string{"x"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(c) != 2 {
 		t.Fatalf("cSet = %v, want the two FD violators", c)
 	}
-	joined, conditioned, err := SafeJoin(r, s, net)
+	joined, conditioned, err := SafeJoinCtx(nil, r, s, net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +374,7 @@ func TestSection42Walkthrough(t *testing.T) {
 	}
 	// π_y(R ⋈ S): IndProject merges the two ε tuples into 0.10612; Dedup
 	// builds Or nodes for b1 (three parents) and b2 (two parents).
-	proj, err := Project(joined, []string{"y"}, net)
+	proj, err := ProjectCtx(nil, joined, []string{"y"}, net)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,23 +8,20 @@ import (
 )
 
 // Scratch pools for the hot hash-join/dedup paths. Every operator run
-// allocates a grouping-key slice plus one hash table per partition; under a
-// serving workload those allocations dominate the operator's cost for small
-// and medium inputs. When the ExecContext grants pooling (engine Options
-// NoPool unset), the maps and slices are drawn from package-level sync.Pools
-// and returned cleared, so repeated evaluations reuse the grown bucket
-// arrays. Outputs are byte-identical with pooling on or off — the pools only
-// change where the scratch memory comes from.
+// allocates one hash table; under a serving workload those allocations
+// dominate the operator's cost for small and medium inputs. When the
+// ExecContext grants pooling (engine Options NoPool unset), the maps are
+// drawn from package-level sync.Pools and returned cleared, so repeated
+// evaluations reuse the grown bucket arrays. Outputs are byte-identical with
+// pooling on or off — the pools only change where the scratch memory comes
+// from.
 //
 // The pools hold the maps' internal bucket arrays, not their contents:
-// every put clears the map/slice first, so no tuple data outlives its
-// evaluation.
+// every put clears the map first, so no tuple data outlives its evaluation.
 
 var (
 	joinBucketPool = sync.Pool{New: func() any { return make(map[string][]int32) }}
 	dedupGroupPool = sync.Pool{New: func() any { return make(map[string][]int) }}
-	partGroupPool  = sync.Pool{New: func() any { return make(map[string]int) }}
-	keySlicePool   = sync.Pool{New: func() any { return new([]string) }}
 )
 
 // poolCheckouts balances pooled scratch checkouts: every pooling get
@@ -69,57 +66,4 @@ func putDedupGroups(ec *core.ExecContext, m map[string][]int) {
 		clear(m)
 		dedupGroupPool.Put(m)
 	}
-}
-
-func getPartGroups(ec *core.ExecContext) map[string]int {
-	if ec.Pooling() {
-		poolCheckouts.Add(1)
-		return partGroupPool.Get().(map[string]int)
-	}
-	return make(map[string]int)
-}
-
-func putPartGroups(ec *core.ExecContext, m map[string]int) {
-	if ec.Pooling() {
-		poolCheckouts.Add(-1)
-		clear(m)
-		partGroupPool.Put(m)
-	}
-}
-
-// getKeySlice returns a string slice of length n. Pooled slices are reused
-// when their capacity suffices; callers overwrite every index before reading,
-// so stale entries past the previous length are never observed.
-//
-// The checkout counter tracks non-nil slices only: putKeySlice ignores nil,
-// and the n == 0 pooled path can hand back a nil slice (re-slicing a nil
-// backing array), which would otherwise never be balanced by a put.
-func getKeySlice(ec *core.ExecContext, n int) []string {
-	if !ec.Pooling() {
-		return make([]string, n)
-	}
-	sp := keySlicePool.Get().(*[]string)
-	var s []string
-	if cap(*sp) >= n {
-		s = (*sp)[:n]
-	} else {
-		s = make([]string, n)
-	}
-	*sp = nil
-	keySlicePool.Put(sp)
-	if s != nil {
-		poolCheckouts.Add(1)
-	}
-	return s
-}
-
-func putKeySlice(ec *core.ExecContext, s []string) {
-	if !ec.Pooling() || s == nil {
-		return
-	}
-	poolCheckouts.Add(-1)
-	clear(s)
-	sp := keySlicePool.Get().(*[]string)
-	*sp = s
-	keySlicePool.Put(sp)
 }

@@ -11,14 +11,9 @@ import (
 	"repro/internal/tuple"
 )
 
-func pooledEC(workers int) *core.ExecContext {
-	return core.NewExecContext(context.Background(), core.ExecConfig{Parallelism: workers, Pooling: true})
-}
-
 // TestPoolingByteIdentical: Join and Dedup through pooled scratch tables
-// produce the same relation and the same network as plain allocation, serial
-// and parallel, across repeated runs (so later runs actually draw reused maps
-// from the pools).
+// produce the same relation and the same network as plain allocation, across
+// repeated runs (so later runs actually draw reused maps from the pools).
 func TestPoolingByteIdentical(t *testing.T) {
 	run := func(seed int64, ec *core.ExecContext) (*Relation, *Relation, []byte, error) {
 		rng := rand.New(rand.NewSource(seed))
@@ -40,17 +35,16 @@ func TestPoolingByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: unpooled run: %v", seed, err)
 		}
-		for _, w := range []int{1, 4} {
-			// Two passes per worker count: the second one reuses maps the
-			// first one returned to the pools.
-			for pass := 0; pass < 2; pass++ {
-				j, d, n, err := run(seed, pooledEC(w))
-				if err != nil {
-					t.Fatalf("seed %d w=%d pass %d: pooled run: %v", seed, w, pass, err)
-				}
-				if !sameRelation(refJoin, j) || !sameRelation(refDedup, d) || !bytes.Equal(refNet, n) {
-					t.Errorf("seed %d w=%d pass %d: pooled run diverged from unpooled", seed, w, pass)
-				}
+		// Two passes: the second one reuses maps the first one returned to
+		// the pools.
+		for pass := 0; pass < 2; pass++ {
+			ec := core.NewExecContext(context.Background(), core.ExecConfig{Pooling: true})
+			j, d, n, err := run(seed, ec)
+			if err != nil {
+				t.Fatalf("seed %d pass %d: pooled run: %v", seed, pass, err)
+			}
+			if !sameRelation(refJoin, j) || !sameRelation(refDedup, d) || !bytes.Equal(refNet, n) {
+				t.Errorf("seed %d pass %d: pooled run diverged from unpooled", seed, pass)
 			}
 		}
 	}

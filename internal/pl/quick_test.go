@@ -17,11 +17,11 @@ func TestQuickProjectIdempotent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		net, r := randomPLRelation(rng, 2)
-		once, err := Project(r, []string{r.Attrs[0]}, net)
+		once, err := ProjectCtx(nil, r, []string{r.Attrs[0]}, net)
 		if err != nil {
 			return false
 		}
-		twice, err := Project(once, []string{r.Attrs[0]}, net)
+		twice, err := ProjectCtx(nil, once, []string{r.Attrs[0]}, net)
 		if err != nil {
 			return false
 		}
@@ -48,8 +48,14 @@ func TestQuickSelectPartition(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		_, r := randomPLRelation(rng, 1)
 		pred := func(v tuple.Tuple) bool { return v[0].AsInt() <= int64(pivot%3) }
-		yes := Select(r, pred)
-		no := Select(r, func(v tuple.Tuple) bool { return !pred(v) })
+		yes, err := SelectCtx(nil, r, pred)
+		if err != nil {
+			return false
+		}
+		no, err := SelectCtx(nil, r, func(v tuple.Tuple) bool { return !pred(v) })
+		if err != nil {
+			return false
+		}
 		return yes.Len()+no.Len() == r.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -102,7 +108,7 @@ func TestQuickSafeJoinMass(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		net, r1, r2 := randomPLPair(rng)
-		joined, _, err := SafeJoin(r1, r2, net)
+		joined, _, err := SafeJoinCtx(nil, r1, r2, net)
 		if err != nil {
 			return false
 		}
@@ -134,7 +140,10 @@ func TestQuickDedupPreservesMarginals(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		d := Dedup(r, net)
+		d, err := DedupCtx(nil, r, net)
+		if err != nil {
+			return false
+		}
 		after, err := MarginalProb(d, net)
 		if err != nil {
 			return false

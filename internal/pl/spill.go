@@ -54,9 +54,9 @@ import (
 // abort a query but never corrupt its result.
 
 // spillFanout is the fixed hash fan-out of a spill operator's top-level
-// partitioning. It is a constant — never derived from the budget or the
-// parallelism grant — so partition assignment, and therefore every
-// intermediate stream, is identical at every budget.
+// partitioning. It is a constant — never derived from the budget — so
+// partition assignment, and therefore every intermediate stream, is identical
+// at every budget.
 const spillFanout = 8
 
 // dedupSubFanout and dedupMaxDepth bound the dedup recursion: an overflowing
@@ -480,6 +480,34 @@ func (m *pairMerge) next() (pairRec, bool, error) {
 func (m *pairMerge) close() {
 	for _, it := range m.its {
 		it.close()
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Trace sub-spans
+
+// partStat is one top-level partition's trace measurement.
+type partStat struct {
+	rows int
+	dur  time.Duration
+}
+
+// recordPartitions emits one sub-span per partition under the currently
+// open operator span, in partition order. kind is "join.spill" or
+// "project.spill"; the sub-spans are measurements nested inside the parent
+// operator (their time is included in the parent's own time, unlike FinishOp
+// children).
+func recordPartitions(ec *core.ExecContext, kind string, parts []partStat) {
+	if !ec.Tracing() {
+		return
+	}
+	for p := range parts {
+		ec.RecordSubOp(core.OpStat{
+			Op:   fmt.Sprintf("partition %d/%d", p, len(parts)),
+			Kind: kind,
+			Rows: parts[p].rows,
+			Time: parts[p].dur,
+		})
 	}
 }
 
@@ -957,6 +985,20 @@ type mergeAsGroupIter struct{ m *groupMerge }
 
 func (a *mergeAsGroupIter) next() (groupRec, bool, error) { return a.m.next() }
 func (a *mergeAsGroupIter) close()                        { a.m.close() }
+
+// hashPart assigns a grouping key to one of w partitions (FNV-1a).
+func hashPart(s string, w int) int {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
+	return int(h % uint64(w))
+}
 
 // hashPartSeed is hashPart with a level-dependent seed, so a partition that
 // recurses redistributes its keys instead of sending them all to one

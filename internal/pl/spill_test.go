@@ -51,7 +51,7 @@ func spillPipeline(t *testing.T, seed int64, mem int64) (*Relation, *Relation, [
 // recursion cap is grouped in memory regardless of the budget). Every other
 // charge is per-entry and small.
 func spillSlack(joined *Relation) int64 {
-	ind, err := IndProject(joined, []string{"b"})
+	ind, err := IndProjectCtx(nil, joined, []string{"b"})
 	if err != nil {
 		return 0
 	}

@@ -392,7 +392,7 @@ type QueryResponse struct {
 // ErrorResponse is the body of every non-200 /query response.
 type ErrorResponse struct {
 	Error string `json:"error"`
-	// Code classifies the failure: bad_request, overload, shutdown,
+	// Code classifies the failure: bad_request, too_large, overload, shutdown,
 	// deadline, canceled, budget_rows, budget_nodes, not_data_safe,
 	// internal.
 	Code string `json:"code"`
@@ -401,6 +401,32 @@ type ErrorResponse struct {
 	// PartialTrace is the execution trace recorded before the evaluation
 	// was cut off (504 and budget-exhaustion responses with trace enabled).
 	PartialTrace json.RawMessage `json:"partial_trace,omitempty"`
+}
+
+// maxBodyBytes caps a POST body. A query is a line of datalog and a mutation
+// op about a hundred bytes, so 1 MiB holds thousands of ops; anything larger
+// is refused before it is buffered.
+const maxBodyBytes = 1 << 20
+
+// decodeBody reads a POST body of at most maxBodyBytes into v. Unknown
+// fields are an error: a misspelt option would otherwise be dropped and the
+// default-option answer cached under the request's key. On failure it
+// returns the status and body to send.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, *ErrorResponse) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return 0, nil
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge, &ErrorResponse{
+			Error: fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes),
+			Code:  "too_large",
+		}
+	}
+	return http.StatusBadRequest, &ErrorResponse{Error: "invalid JSON body: " + err.Error(), Code: "bad_request"}
 }
 
 // statusClientClosedRequest is nginx's conventional status for a client
@@ -416,8 +442,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		status(http.StatusBadRequest, ErrorResponse{Error: "invalid JSON body: " + err.Error(), Code: "bad_request"})
+	if code, bad := decodeBody(w, r, &req); bad != nil {
+		status(code, bad)
 		return
 	}
 	if req.Query == "" {
@@ -815,8 +841,8 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		s.cfg.Metrics.ServerResponse("/mutate", code, time.Since(start))
 	}
 	var req MutateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		status(http.StatusBadRequest, ErrorResponse{Error: "invalid JSON body: " + err.Error(), Code: "bad_request"})
+	if code, bad := decodeBody(w, r, &req); bad != nil {
+		status(code, bad)
 		return
 	}
 	if len(req.Ops) == 0 {

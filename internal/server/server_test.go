@@ -529,34 +529,50 @@ func TestGracefulShutdownDrains(t *testing.T) {
 func TestServerValidation(t *testing.T) {
 	db := triangleDB(t)
 	_, ts := newTestServer(t, Config{DB: db})
+	before := db.Version()
 
+	// A body one object past the cap: leading whitespace is legal JSON, so
+	// the decoder has to read through all of it.
+	oversized := func(obj string) string { return strings.Repeat(" ", maxBodyBytes) + obj }
 	cases := []struct {
-		name string
-		body string
-		want string // expected error code
+		name   string
+		path   string
+		body   string
+		status int    // expected status; 0 = any error
+		want   string // expected error code
 	}{
-		{"malformed JSON", `{"query":`, "bad_request"},
-		{"missing query", `{}`, "bad_request"},
-		{"bad syntax", `{"query":"not a query!!"}`, "bad_request"},
-		{"unknown strategy", fmt.Sprintf(`{"query":%q,"strategy":"exactish"}`, triangleQuery), "bad_request"},
-		{"half-set epsilon", fmt.Sprintf(`{"query":%q,"strategy":"mc","epsilon":0.1}`, triangleQuery), "internal"},
-		{"missing relation", `{"query":"q :- Nope(a)"}`, "internal"},
+		{"malformed JSON", "/query", `{"query":`, 400, "bad_request"},
+		{"missing query", "/query", `{}`, 400, "bad_request"},
+		{"bad syntax", "/query", `{"query":"not a query!!"}`, 400, "bad_request"},
+		{"unknown strategy", "/query", fmt.Sprintf(`{"query":%q,"strategy":"exactish"}`, triangleQuery), 400, "bad_request"},
+		{"half-set epsilon", "/query", fmt.Sprintf(`{"query":%q,"strategy":"mc","epsilon":0.1}`, triangleQuery), 0, "internal"},
+		{"missing relation", "/query", `{"query":"q :- Nope(a)"}`, 0, "internal"},
+		{"misspelt option", "/query", fmt.Sprintf(`{"query":%q,"paralellism":4}`, triangleQuery), 400, "bad_request"},
+		{"misspelt cache switch", "/query", fmt.Sprintf(`{"query":%q,"no_cahce":true}`, triangleQuery), 400, "bad_request"},
+		{"oversized query body", "/query", oversized(fmt.Sprintf(`{"query":%q}`, triangleQuery)), 413, "too_large"},
+		{"malformed mutate JSON", "/mutate", `{"ops":`, 400, "bad_request"},
+		{"misspelt mutate field", "/mutate", `{"ops":[{"op":"add","relation":"T","vals":["3"],"prob":0.5}]}`, 400, "bad_request"},
+		{"oversized mutate body", "/mutate", oversized(`{"ops":[{"op":"delete","relation":"T","vals":["1"]}]}`), 413, "too_large"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(tc.body))
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}
 			data, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
-			if resp.StatusCode < 400 {
-				t.Fatalf("status = %d, want an error: %s", resp.StatusCode, data)
+			if resp.StatusCode < 400 || (tc.status != 0 && resp.StatusCode != tc.status) {
+				t.Fatalf("status = %d, want %d (0 = any error): %.200s", resp.StatusCode, tc.status, data)
 			}
 			if er := decodeError(t, data); er.Code != tc.want {
-				t.Errorf("code = %q, want %q: %s", er.Code, tc.want, data)
+				t.Errorf("code = %q, want %q: %.200s", er.Code, tc.want, data)
 			}
 		})
+	}
+	// The refused mutations must not have reached the database.
+	if v := db.Version(); v != before {
+		t.Errorf("database version moved from %d to %d across refused requests", before, v)
 	}
 
 	if _, err := New(Config{}); err == nil {

@@ -150,9 +150,8 @@ type Options struct {
 	// NoFallback turns the sampling fallback into an error.
 	NoFallback bool
 	// Parallelism is the number of worker goroutines for per-answer
-	// inference and for partitioned join/dedup operators (0 or 1 =
-	// sequential). Results are identical either way, down to network node
-	// identity.
+	// inference (0 or 1 = sequential). Results are identical either way,
+	// down to network node identity.
 	Parallelism int
 	// Budget caps rows, network nodes and wall clock; exceeding it aborts
 	// the evaluation with ErrRowBudget, ErrNodeBudget or
