@@ -131,6 +131,20 @@ type JoinStat struct {
 	Conditioned int
 }
 
+// Planning-cache outcomes (Stats.PlanCache), reported per query-level plan.
+const (
+	// PlanCachePlan: the plan came out of the cache's plan tier; nothing was
+	// enumerated.
+	PlanCachePlan = "plan"
+	// PlanCacheStats: the orders were enumerated and scored again, but every
+	// atom's statistics were remembered (no pass over a relation).
+	PlanCacheStats = "stats"
+	// PlanCacheMiss: neither tier answered in full: at least one atom made
+	// its pass over a relation (or, for a safe query, the plan was
+	// synthesized).
+	PlanCacheMiss = "miss"
+)
+
 // Stats reports what one evaluation did. Fields are filled as applicable to
 // the strategy.
 type Stats struct {
@@ -229,13 +243,16 @@ type Stats struct {
 	// PlanEstOffending and PlanCandidates are the estimator's offending
 	// prediction for the chosen order and the number of orders it scored;
 	// PlanSelectTime is the wall time spent choosing (PlanTime, by contrast,
-	// covers executing the plan). All empty/zero when the engine was handed
-	// an explicit plan.
+	// covers executing the plan). PlanCache says which tier of the database's
+	// planning cache answered, one of the PlanCache* constants; empty when no
+	// cache was consulted. All empty/zero when the engine was handed an
+	// explicit plan.
 	PlanSource       string
 	PlanOrder        string
 	PlanEstOffending int
 	PlanCandidates   int
 	PlanSelectTime   time.Duration
+	PlanCache        string
 
 	// Bounds fields (Dissociation strategy only). BoundsValued marks the
 	// result rows as carrying guaranteed [Lo, Hi] intervals rather than

@@ -132,10 +132,13 @@ func TestServedCacheHitMatchesCold(t *testing.T) {
 	}
 }
 
-// zeroTimes strips wall-clock measurements from a trace so that two runs of
-// the same evaluation can be compared byte for byte.
-func zeroTimes(tr *obs.Trace) {
+// maskRunState strips what belongs to the run rather than to the evaluation —
+// wall-clock measurements, and which tier of the planning cache answered
+// (the first run fills it, the second hits it) — so that two runs of the
+// same evaluation can be compared byte for byte. The plan itself stays in.
+func maskRunState(tr *obs.Trace) {
 	tr.PlanTime, tr.InferenceTime = 0, 0
+	tr.PlanCache = ""
 	var walk func([]*obs.Span)
 	walk = func(spans []*obs.Span) {
 		for _, sp := range spans {
@@ -170,7 +173,7 @@ func TestTraceDeterministicWithMemo(t *testing.T) {
 						t.Fatalf("seed %d strategy %v par %d: %v", seed, s, par, err)
 					}
 					tr := res.Trace()
-					zeroTimes(tr)
+					maskRunState(tr)
 					data, err := json.Marshal(tr)
 					if err != nil {
 						t.Fatal(err)

@@ -143,6 +143,13 @@ type Options struct {
 	// shrink on cache hits. The pdb layer attaches one cache per database;
 	// materialized views carry their own.
 	Circuits *lineage.CircuitCache
+	// Plans, when set, is the planning cache EvaluateQuery plans through:
+	// relation statistics and chosen plans remembered per relation version, so
+	// a repeated query plans in a lookup. Plans are the same with and without
+	// it (see planner.Cache). The pdb layer attaches one per database, and the
+	// cache reads relation versions under the read lock the evaluation holds.
+	// Ignored under NoAdaptivePlan, which never consults the planner.
+	Plans *planner.Cache
 	// NoCircuit disables the compiled-circuit backend even when a cache is
 	// attached — the ablation knob mirrored by pdb.Options.NoCircuit and the
 	// CLIs' -no-circuit flags.
@@ -334,7 +341,7 @@ func EvaluateQueryContext(ctx context.Context, db *relation.Database, q *query.Q
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	ir, err := planQuery(db, q, opts)
+	ir, cached, err := planQuery(db, q, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -345,19 +352,28 @@ func EvaluateQueryContext(ctx context.Context, db *relation.Database, q *query.Q
 		res.Stats.PlanEstOffending = ir.EstOffending
 		res.Stats.PlanCandidates = ir.Candidates
 		res.Stats.PlanSelectTime = ir.SelectTime
+		res.Stats.PlanCache = cached
 	}
 	return res, err
 }
 
-// planQuery picks the physical plan for a query-level evaluation.
-func planQuery(db *relation.Database, q *query.Query, opts Options) (*planner.IR, error) {
-	if opts.NoAdaptivePlan {
+// planQuery picks the physical plan for a query-level evaluation, through
+// opts.Plans when one is attached; cached is the cache outcome (empty when no
+// cache was consulted). The IR may be shared with other evaluations: the
+// engine only ever reads it.
+func planQuery(db *relation.Database, q *query.Query, opts Options) (ir *planner.IR, cached string, err error) {
+	switch {
+	case opts.NoAdaptivePlan:
 		if plan, err := query.SafePlan(q); err == nil {
-			return &planner.IR{Source: planner.SourceSafe, Physical: plan}, nil
+			return &planner.IR{Source: planner.SourceSafe, Physical: plan}, "", nil
 		}
-		return planner.BodyIR(q)
+		ir, err = planner.BodyIR(q)
+	case opts.Plans != nil:
+		return opts.Plans.Plan(db, q)
+	default:
+		ir, err = planner.Plan(db, q, planner.Options{})
 	}
-	return planner.Plan(db, q, planner.Options{})
+	return ir, "", err
 }
 
 // validateBaseProbs checks, once at the evaluation boundary, that every

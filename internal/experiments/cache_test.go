@@ -1,10 +1,8 @@
+//go:build perfsmoke
+
 package experiments
 
-import (
-	"encoding/json"
-	"os"
-	"testing"
-)
+import "testing"
 
 // TestCachePerfSmoke guards the committed BENCH_cache.json against silent
 // regressions: it re-runs the cache benchmark at the small scale and fails
@@ -15,22 +13,13 @@ import (
 // hits are at least an order of magnitude cheaper than evaluation" must
 // always hold. Skips when the artifact is absent (e.g. fresh checkout
 // pruned of benchmark outputs).
+//
+// A wall-clock ratio gate: built only with -tags perfsmoke (the CI perf-smoke
+// job), because it fails on a box that is busy with something else. What the
+// same benchmark asserts in counts is TestCacheCounts, which always runs.
 func TestCachePerfSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("perf smoke is not a -short test")
-	}
-	data, err := os.ReadFile("../../BENCH_cache.json")
-	if os.IsNotExist(err) {
-		t.Skip("BENCH_cache.json not committed")
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
 	var committed CacheReport
-	if err := json.Unmarshal(data, &committed); err != nil {
-		t.Fatalf("parsing committed BENCH_cache.json: %v", err)
-	}
-
+	loadCommitted(t, "BENCH_cache.json", &committed)
 	got, err := CacheBench(Small(), CacheOptions{Memo: true, Cache: true})
 	if err != nil {
 		t.Fatal(err)
@@ -52,30 +41,6 @@ func TestCachePerfSmoke(t *testing.T) {
 		if floor := want.Speedup / 2; pt.Speedup < floor {
 			t.Errorf("memo %s: speedup %.2fx regressed below %.2fx (committed %.2fx)",
 				want.Query, pt.Speedup, floor, want.Speedup)
-		}
-		if pt.MemoHits == 0 {
-			t.Errorf("memo %s: no shared-memo hits; the cross-answer table is not engaging", want.Query)
-		}
-	}
-
-	consBy := map[string]ConsPoint{}
-	for _, pt := range got.Cons {
-		consBy[pt.Query] = pt
-	}
-	for _, want := range committed.Cons {
-		if want.Err != "" || want.Reduction < 1.1 {
-			continue
-		}
-		pt, ok := consBy[want.Query]
-		if !ok || pt.Err != "" {
-			t.Errorf("consing %s: missing or failed in rerun (%+v)", want.Query, pt)
-			continue
-		}
-		// Node counts are deterministic; allow only the committed sharing to
-		// shrink by half (e.g. a consing-table change), not to vanish.
-		if floor := 1 + (want.Reduction-1)/2; pt.Reduction < floor {
-			t.Errorf("consing %s: node reduction %.3fx regressed below %.3fx (committed %.3fx)",
-				want.Query, pt.Reduction, floor, want.Reduction)
 		}
 	}
 

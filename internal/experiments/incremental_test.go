@@ -1,72 +1,26 @@
+//go:build perfsmoke
+
 package experiments
 
-import (
-	"encoding/json"
-	"os"
-	"testing"
-)
+import "testing"
 
-// TestIncrementalPerfSmoke guards the committed BENCH_incremental.json
-// against silent regressions in the write path: the warm-hit retention of
-// the versioned cache under unrelated churn, and the patch-vs-recompute
-// refresh advantage, must each stay within half of the committed figures.
-// The retention ratio is the tentpole's acceptance signal — a workload
-// mutating relation A must retain warm hits for queries reading only B.
-// Skips when the artifact is absent (fresh checkout pruned of benchmark
-// outputs).
+// TestIncrementalPerfSmoke guards the patch-vs-recompute refresh advantage of
+// the committed BENCH_incremental.json. Patch speedup is wall-clock and
+// varies with the host, so the floor is capped: "a patched refresh is at
+// least an order of magnitude cheaper than a recompute" must always hold once
+// the committed artifact shows a real advantage. Skips when the artifact is
+// absent.
+//
+// A wall-clock ratio gate: built only with -tags perfsmoke. The warm-hit
+// retention of the versioned cache is a count: TestIncrementalCounts, which
+// always runs.
 func TestIncrementalPerfSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("perf smoke is not a -short test")
-	}
-	data, err := os.ReadFile("../../BENCH_incremental.json")
-	if os.IsNotExist(err) {
-		t.Skip("BENCH_incremental.json not committed")
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
 	var committed IncrementalReport
-	if err := json.Unmarshal(data, &committed); err != nil {
-		t.Fatalf("parsing committed BENCH_incremental.json: %v", err)
-	}
-
+	loadCommitted(t, "BENCH_incremental.json", &committed)
 	got, err := IncrementalBench(Small())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	retBy := map[string]RetentionPoint{}
-	for _, pt := range got.Retention {
-		retBy[pt.Workload] = pt
-	}
-	for _, want := range committed.Retention {
-		if want.Err != "" || want.Workload != "unrelated-churn" || want.HitRatio < 0.5 {
-			continue
-		}
-		pt, ok := retBy[want.Workload]
-		if !ok || pt.Err != "" {
-			t.Errorf("retention %s: missing or failed in rerun (%+v)", want.Workload, pt)
-			continue
-		}
-		if floor := want.HitRatio / 2; pt.HitRatio < floor {
-			t.Errorf("retention %s: hit ratio %.2f regressed below %.2f (committed %.2f)",
-				want.Workload, pt.HitRatio, floor, want.HitRatio)
-		}
-	}
-	// The fine-grained cache must beat the full-purge baseline outright:
-	// self-churn reproduces the old whole-database invalidation, and
-	// unrelated churn has to retain strictly more warmth.
-	if a, b := retBy["unrelated-churn"], retBy["self-churn"]; a.Err == "" && b.Err == "" {
-		if a.HitRatio <= b.HitRatio {
-			t.Errorf("unrelated-churn hit ratio %.2f does not beat full-purge baseline %.2f",
-				a.HitRatio, b.HitRatio)
-		}
-	}
-
-	// Patch speedup is wall-clock and varies with the host, so the floor is
-	// capped: "a patched refresh is at least an order of magnitude cheaper
-	// than a recompute" must always hold once the committed artifact shows a
-	// real advantage.
 	if committed.PatchSpeedup >= 2 {
 		floor := committed.PatchSpeedup / 2
 		if floor > 20 {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"io"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -24,6 +25,7 @@ type PlannerPoint struct {
 	Query             string  `json:"query"`
 	LegacyNs          int64   `json:"legacy_ns"`
 	AdaptiveNs        int64   `json:"adaptive_ns"`
+	AdaptiveColdNs    int64   `json:"adaptive_cold_ns"` // first adaptive run: the planning cache is empty
 	Speedup           float64 `json:"speedup"`
 	LegacyOffending   int     `json:"legacy_offending"`
 	AdaptiveOffending int     `json:"adaptive_offending"`
@@ -111,12 +113,17 @@ func plannerWorkloads(sc Scale) []plannerWorkload {
 // PlannerBench measures the adaptive planner against the legacy pipeline on
 // the mixed workload: best-of-three interleaved wall clocks per mode, the
 // measured offending-tuple counts both ways, and the backend calibration
-// accumulated by the adaptive runs' sink.
+// accumulated by the adaptive runs' sink. The adaptive runs plan through a
+// planning cache per workload, as every pdb.Database does: the first of the
+// three pays the statistics passes (reported as AdaptiveColdNs), the other
+// two plan in a lookup, so AdaptiveNs is what a repeated query costs.
 func PlannerBench(sc Scale) (*PlannerReport, error) {
 	sink := planner.NewSink()
 	rep := &PlannerReport{}
 	for _, wl := range plannerWorkloads(sc) {
 		pt := PlannerPoint{Query: wl.name}
+		// The workload's database never changes: one version forever.
+		plans := planner.NewCache(func(string) int64 { return 1 })
 		run := func(noAdaptive bool) (time.Duration, *engine.Result, error) {
 			opts := engine.Options{
 				Strategy:       core.PartialLineage,
@@ -126,9 +133,14 @@ func PlannerBench(sc Scale) (*PlannerReport, error) {
 			}
 			if !noAdaptive {
 				opts.PlannerSink = sink
+				opts.Plans = plans
 			}
 			opts.Inference.MaxFactorVars = sc.MaxWidth
 			opts.Budget.Time = sc.Timeout
+			// Collect first: the two modes alternate, and without this the
+			// second of each pair pays for the first one's garbage (it made
+			// the adaptive side of fd-good-order read twice its cost).
+			runtime.GC()
 			start := time.Now()
 			res, err := engine.EvaluateQuery(wl.db, wl.q, opts)
 			return time.Since(start), res, err
@@ -148,6 +160,9 @@ func PlannerBench(sc Scale) (*PlannerReport, error) {
 			}
 			if i == 0 || legacy < legacyBest {
 				legacyBest, legacyRes = legacy, lres
+			}
+			if i == 0 {
+				pt.AdaptiveColdNs = adaptive.Nanoseconds()
 			}
 			if i == 0 || adaptive < adaptiveBest {
 				adaptiveBest, adaptiveRes = adaptive, ares

@@ -1,34 +1,20 @@
+//go:build perfsmoke
+
 package experiments
 
-import (
-	"encoding/json"
-	"os"
-	"testing"
-)
+import "testing"
 
 // TestSpillPerfSmoke guards the committed BENCH_spill.json: it re-runs the
 // spill benchmark and fails when a measured throughput ratio drops below
 // half of the committed one — i.e. when spilled execution got at least
 // twice as expensive relative to in-memory as when the artifact was
-// recorded. It also requires the budgeted runs to actually spill: a spill
-// benchmark that stays resident is not measuring anything. Skips when the
-// artifact is absent (fresh checkout pruned of benchmark outputs).
+// recorded. Skips when the artifact is absent.
+//
+// A wall-clock ratio gate: built only with -tags perfsmoke. That the budgeted
+// runs spill at all is a count: TestSpillCounts, which always runs.
 func TestSpillPerfSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("perf smoke is not a -short test")
-	}
-	data, err := os.ReadFile("../../BENCH_spill.json")
-	if os.IsNotExist(err) {
-		t.Skip("BENCH_spill.json not committed")
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
 	var committed SpillReport
-	if err := json.Unmarshal(data, &committed); err != nil {
-		t.Fatalf("parsing committed BENCH_spill.json: %v", err)
-	}
-
+	loadCommitted(t, "BENCH_spill.json", &committed)
 	got, err := SpillBench(Small())
 	if err != nil {
 		t.Fatal(err)
@@ -45,9 +31,6 @@ func TestSpillPerfSmoke(t *testing.T) {
 		if !ok || pt.Err != "" {
 			t.Errorf("spill %s: missing or failed in rerun (%+v)", want.Workload, pt)
 			continue
-		}
-		if pt.SpilledPartitions == 0 {
-			t.Errorf("spill %s: budgeted run spilled no partitions", want.Workload)
 		}
 		if floor := want.Ratio / 2; pt.Ratio < floor {
 			t.Errorf("spill %s: throughput ratio %.3f regressed below %.3f (committed %.3f)",

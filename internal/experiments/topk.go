@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -143,7 +144,7 @@ func TopkBench(sc Scale) (*TopkReport, error) {
 				NoSeedBounds:     cold,
 			}
 			start := time.Now()
-			res, err := topk.FromGrounding(g, opts)
+			res, err := topk.FromGrounding(context.Background(), g, opts)
 			return time.Since(start), res, err
 		}
 		var seeded, cold *topk.Result

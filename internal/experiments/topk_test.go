@@ -1,40 +1,22 @@
+//go:build perfsmoke
+
 package experiments
 
-import (
-	"encoding/json"
-	"os"
-	"testing"
-)
+import "testing"
 
 // TestTopkPerfSmoke guards the committed BENCH_topk.json: it re-runs the
 // top-k benchmark at the small scale and fails when a measured seeded-vs-cold
 // speedup drops below half of the committed one. Points committed below 1.5x
 // are not gated (the grid-groups point deliberately measures a workload whose
-// dissociation intervals are too wide to beat the cold union-bound start),
-// but the qualitative wins are always checked: both modes agree on the
-// top-k set (TopkBench fails the point otherwise) and the seeded run never
-// samples more than the cold one. Skips when the artifact is absent.
+// dissociation intervals are too wide to beat the cold union-bound start).
+// Skips when the artifact is absent.
+//
+// A wall-clock ratio gate: built only with -tags perfsmoke. The qualitative
+// wins (both modes agree on the top-k set, the seeded run never samples more
+// than the cold one) are counts: TestTopkCounts, which always runs.
 func TestTopkPerfSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("perf smoke is not a -short test")
-	}
-	data, err := os.ReadFile("../../BENCH_topk.json")
-	if os.IsNotExist(err) {
-		t.Skip("BENCH_topk.json not committed")
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
 	var committed TopkReport
-	if err := json.Unmarshal(data, &committed); err != nil {
-		t.Fatalf("parsing committed BENCH_topk.json: %v", err)
-	}
-	for _, pt := range committed.Points {
-		if pt.Err != "" {
-			t.Errorf("committed point %s carries an error: %s", pt.Workload, pt.Err)
-		}
-	}
-
+	loadCommitted(t, "BENCH_topk.json", &committed)
 	got, err := TopkBench(Small())
 	if err != nil {
 		t.Fatal(err)
@@ -43,27 +25,13 @@ func TestTopkPerfSmoke(t *testing.T) {
 	for _, pt := range got.Points {
 		byName[pt.Workload] = pt
 	}
-
 	for _, want := range committed.Points {
-		if want.Err != "" {
+		if want.Err != "" || want.Speedup < 1.5 {
 			continue
 		}
 		pt, ok := byName[want.Workload]
-		if !ok {
-			t.Errorf("topk %s: missing from rerun", want.Workload)
-			continue
-		}
-		if pt.Err != "" {
-			t.Errorf("topk %s: rerun failed: %s", want.Workload, pt.Err)
-			continue
-		}
-		// Seeding must never add sampling work: every interval starts no
-		// wider than cold's, so the critical set is a subset round by round.
-		if pt.SeededSamples > pt.ColdSamples {
-			t.Errorf("topk %s: seeded run drew %d samples, cold %d — seeding added work",
-				want.Workload, pt.SeededSamples, pt.ColdSamples)
-		}
-		if want.Speedup < 1.5 {
+		if !ok || pt.Err != "" {
+			t.Errorf("topk %s: missing or failed in rerun (%+v)", want.Workload, pt)
 			continue
 		}
 		if floor := want.Speedup / 2; pt.Speedup < floor {

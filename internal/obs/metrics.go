@@ -98,6 +98,13 @@ type Registry struct {
 	plannerBackendFallbacks map[string]uint64 // by backend label
 	plannerPredictionMisses uint64
 
+	// Planning-cache counters, by tier ("plan", "stats"), folded from each
+	// evaluation's Stats.PlanCache: a "plan" outcome is a plan-tier hit, a
+	// "stats" outcome a plan-tier miss answered by the statistics tier, a
+	// "miss" outcome a miss in both.
+	plannerCacheHits   map[string]uint64
+	plannerCacheMisses map[string]uint64
+
 	// Dissociation counters: bounds-valued answers produced by the
 	// dissociation strategy, how many of their intervals collapsed to the
 	// exact probability (read-once lineage), and the shared variables split
@@ -132,6 +139,7 @@ type Registry struct {
 	serverResponses map[string]uint64 // by HTTP status code
 	serverRejected  map[string]uint64 // by reason: overload, shutdown
 	serverDegraded  uint64
+	serverPanics    uint64
 	serverDurations map[string]*histogram // by route
 
 	// Result-cache metrics, fed by the server's snapshot-versioned cache:
@@ -229,6 +237,22 @@ func (r *Registry) ObserveQuery(o QueryObservation) {
 			r.plannerBackendFallbacks[backend] += uint64(n)
 		}
 		r.plannerPredictionMisses += uint64(o.Stats.BackendPredictionMisses)
+		if o.Stats.PlanCache != "" {
+			if r.plannerCacheHits == nil {
+				r.plannerCacheHits = make(map[string]uint64)
+				r.plannerCacheMisses = make(map[string]uint64)
+			}
+			switch o.Stats.PlanCache {
+			case core.PlanCachePlan:
+				r.plannerCacheHits["plan"]++
+			case core.PlanCacheStats:
+				r.plannerCacheMisses["plan"]++
+				r.plannerCacheHits["stats"]++
+			default:
+				r.plannerCacheMisses["plan"]++
+				r.plannerCacheMisses["stats"]++
+			}
+		}
 		if o.Stats.BoundsValued {
 			r.dissociationAnswers += uint64(o.Stats.Answers)
 			r.dissociationExact += uint64(o.Stats.BoundsExact)
@@ -376,6 +400,14 @@ func (r *Registry) ServerDegraded() {
 	r.serverDegraded++
 }
 
+// ServerPanic counts one request whose handler panicked and was answered 500
+// by the server's recovery middleware.
+func (r *Registry) ServerPanic() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.serverPanics++
+}
+
 // ServerCacheHit counts one request answered from the result cache (or
 // reused from a concurrent identical evaluation).
 func (r *Registry) ServerCacheHit() {
@@ -435,6 +467,8 @@ func (r *Registry) snapshot() map[string]any {
 		"planner_backend_chosen_total":    copyMap(r.plannerBackendChosen),
 		"planner_backend_fallbacks_total": copyMap(r.plannerBackendFallbacks),
 		"planner_prediction_misses_total": r.plannerPredictionMisses,
+		"planner_cache_hits_total":        copyMap(r.plannerCacheHits),
+		"planner_cache_misses_total":      copyMap(r.plannerCacheMisses),
 		"dissociation_answers_total":      r.dissociationAnswers,
 		"dissociation_exact_total":        r.dissociationExact,
 		"dissociation_vars_total":         r.dissociationVars,
@@ -452,6 +486,7 @@ func (r *Registry) snapshot() map[string]any {
 		"server_responses_total":          copyMap(r.serverResponses),
 		"server_rejected_total":           copyMap(r.serverRejected),
 		"server_degraded_total":           r.serverDegraded,
+		"server_panics_total":             r.serverPanics,
 		"server_cache_hits_total":         r.serverCacheHits,
 		"server_cache_misses_total":       r.serverCacheMisses,
 		"server_cache_evictions_total":    r.serverCacheEvictions,
@@ -500,6 +535,8 @@ func MetricNames() []string {
 		"pdb_planner_backend_chosen_total",
 		"pdb_planner_backend_fallbacks_total",
 		"pdb_planner_prediction_misses_total",
+		"pdb_planner_cache_hits_total",
+		"pdb_planner_cache_misses_total",
 		"pdb_dissociation_answers_total",
 		"pdb_dissociation_exact_total",
 		"pdb_dissociation_vars_total",
@@ -517,6 +554,7 @@ func MetricNames() []string {
 		"pdb_server_responses_total",
 		"pdb_server_rejected_total",
 		"pdb_server_degraded_total",
+		"pdb_server_panics_total",
 		"pdb_server_cache_hits_total",
 		"pdb_server_cache_misses_total",
 		"pdb_server_cache_evictions_total",
@@ -601,6 +639,10 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		"Ranked inference attempts that failed deterministically and fell through, by backend.", "backend", r.plannerBackendFallbacks)
 	promScalar(&b, "pdb_planner_prediction_misses_total", "counter",
 		"Answers whose first-ranked inference backend was not the one that succeeded.", r.plannerPredictionMisses)
+	promLabeled(&b, "pdb_planner_cache_hits_total", "counter",
+		"Query-level plans answered by the database's planning cache, by tier (plan: the chosen plan itself; stats: planned again from remembered relation statistics).", "tier", r.plannerCacheHits)
+	promLabeled(&b, "pdb_planner_cache_misses_total", "counter",
+		"Query-level plans a planning-cache tier could not answer, by tier (a stats miss is at least one statistics pass over a relation).", "tier", r.plannerCacheMisses)
 
 	promScalar(&b, "pdb_dissociation_answers_total", "counter",
 		"Bounds-valued answers produced by the dissociation strategy.", r.dissociationAnswers)
@@ -637,6 +679,8 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		"Query-server requests shed by admission control, by reason (overload, shutdown).", "reason", r.serverRejected)
 	promScalar(&b, "pdb_server_degraded_total", "counter",
 		"Query-server requests degraded from exact evaluation to Karp–Luby sampling after budget exhaustion.", r.serverDegraded)
+	promScalar(&b, "pdb_server_panics_total", "counter",
+		"Query-server requests whose handler panicked and was answered 500 by the recovery middleware.", r.serverPanics)
 	promScalar(&b, "pdb_server_cache_hits_total", "counter",
 		"Query-server requests answered from the snapshot-versioned result cache (including single-flight reuse).", r.serverCacheHits)
 	promScalar(&b, "pdb_server_cache_misses_total", "counter",

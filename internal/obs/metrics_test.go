@@ -21,17 +21,19 @@ func feed(r *Registry) {
 		Stats: &core.Stats{Answers: 3, OffendingTuples: 2, RowsCharged: 23, NodesCharged: 5,
 			MemoHits: 12, MemoMisses: 30, MemoEvictions: 1, ConsHits: 4,
 			CircuitCompiles: 2, CircuitHits: 5, CircuitEvals: 7,
-			SpilledPartitions: 3, SpillBytes: 4096},
+			SpilledPartitions: 3, SpillBytes: 4096,
+			PlanSource: "greedy", PlanCache: "miss"},
 	})
 	r.ObserveQuery(QueryObservation{
 		Strategy: core.PartialLineage,
 		Duration: 40 * time.Millisecond,
-		Stats:    &core.Stats{Answers: 1, Approximate: true, RowsCharged: 100, NodesCharged: 60},
+		Stats: &core.Stats{Answers: 1, Approximate: true, RowsCharged: 100, NodesCharged: 60,
+			PlanSource: "greedy", PlanCache: "plan"},
 	})
 	r.ObserveQuery(QueryObservation{
 		Strategy: core.DNFLineage,
 		Duration: 3 * time.Millisecond,
-		Stats:    &core.Stats{Answers: 2, RowsCharged: 7},
+		Stats:    &core.Stats{Answers: 2, RowsCharged: 7, PlanSource: "greedy", PlanCache: "stats"},
 	})
 	r.ObserveQuery(QueryObservation{
 		Strategy: core.MonteCarlo,
@@ -61,6 +63,7 @@ func feed(r *Registry) {
 	r.ServerRejected("overload")
 	r.ServerRejected("shutdown")
 	r.ServerDegraded()
+	r.ServerPanic()
 
 	// Result-cache observations: a miss then two hits, one LRU eviction, and
 	// the cache's current size gauges.

@@ -47,6 +47,7 @@ type Trace struct {
 	PlanOrder       string        `json:"plan_order,omitempty"`
 	PlanEstOffend   int           `json:"plan_est_offending,omitempty"`
 	PlanCandidates  int           `json:"plan_candidates,omitempty"`
+	PlanCache       string        `json:"plan_cache,omitempty"`
 	PredictionMiss  int           `json:"backend_prediction_misses,omitempty"`
 	RowsCharged     int64         `json:"rows_charged"`
 	NodesCharged    int64         `json:"nodes_charged"`
@@ -81,6 +82,7 @@ func BuildTrace(query string, s core.Stats) *Trace {
 		PlanOrder:       s.PlanOrder,
 		PlanEstOffend:   s.PlanEstOffending,
 		PlanCandidates:  s.PlanCandidates,
+		PlanCache:       s.PlanCache,
 		PredictionMiss:  s.BackendPredictionMisses,
 		RowsCharged:     s.RowsCharged,
 		NodesCharged:    s.NodesCharged,
@@ -139,6 +141,9 @@ func (t *Trace) WriteTree(w io.Writer) error {
 		}
 		if t.PlanCandidates > 0 {
 			fmt.Fprintf(&b, " (est offending %d, %d candidates)", t.PlanEstOffend, t.PlanCandidates)
+		}
+		if t.PlanCache != "" {
+			fmt.Fprintf(&b, "   plan cache: %s", t.PlanCache)
 		}
 		b.WriteByte('\n')
 	}

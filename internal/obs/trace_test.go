@@ -28,6 +28,13 @@ func fixedStats() core.Stats {
 		NodesCharged:    5,
 		PlanTime:        65 * time.Microsecond,
 		InferenceTime:   44 * time.Microsecond,
+
+		PlanSource:       "greedy",
+		PlanOrder:        "R1,S1",
+		PlanEstOffending: 2,
+		PlanCandidates:   2,
+		PlanCache:        "stats",
+
 		Operators: []core.OpStat{
 			{Op: "R1(h, x)", Kind: "scan", Depth: 2, Rows: 2, RowsIn: 2, Time: 5 * time.Microsecond},
 			{Op: "S1(h, x, y)", Kind: "scan", Depth: 2, Rows: 4, RowsIn: 4, Time: 2 * time.Microsecond},

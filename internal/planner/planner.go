@@ -118,15 +118,28 @@ func (c Candidate) String() string {
 // Plan chooses the IR for q on db: the safe plan when the query is
 // hierarchical (structurally zero offending tuples — no order can beat it),
 // otherwise the connected left-deep order with the smallest estimated
-// offending-tuple count.
+// offending-tuple count. Every call makes its own pass over the relations;
+// Cache.Plan is the same function with that work remembered.
 func Plan(db *relation.Database, q *query.Query, opts Options) (*IR, error) {
 	start := time.Now()
-	if sp, err := query.SafePlan(q); err == nil {
-		return &IR{Source: SourceSafe, Physical: sp, SelectTime: time.Since(start)}, nil
-	}
-	best, all, err := Choose(db, q, opts)
+	ir, _, err := plan(db, q, opts, nil)
 	if err != nil {
 		return nil, err
+	}
+	ir.SelectTime = time.Since(start)
+	return ir, nil
+}
+
+// plan is Plan reading atom statistics through cache when it is non-nil. It
+// leaves SelectTime to the caller and reports how many statistics passes over
+// relations the choice took.
+func plan(db *relation.Database, q *query.Query, opts Options, cache *Cache) (ir *IR, passes int, err error) {
+	if sp, err := query.SafePlan(q); err == nil {
+		return &IR{Source: SourceSafe, Physical: sp}, 0, nil
+	}
+	best, all, passes, err := choose(db, q, opts, cache)
+	if err != nil {
+		return nil, 0, err
 	}
 	return &IR{
 		Source:       SourceGreedy,
@@ -135,8 +148,7 @@ func Plan(db *relation.Database, q *query.Query, opts Options) (*IR, error) {
 		EstOffending: best.EstOffending,
 		EstRows:      best.EstRows,
 		Candidates:   len(all),
-		SelectTime:   time.Since(start),
-	}, nil
+	}, passes, nil
 }
 
 // BodyIR is the static fallback IR: atoms joined in body order, no search.
@@ -162,17 +174,24 @@ func BodyIR(q *query.Query) (*IR, error) {
 // truncates, the greedy completion from every start atom — so very wide
 // queries still consider an order built step-by-step by the estimator.
 func Choose(db *relation.Database, q *query.Query, opts Options) (*Candidate, []Candidate, error) {
+	best, all, _, err := choose(db, q, opts, nil)
+	return best, all, err
+}
+
+// choose is Choose reading atom statistics through cache when it is non-nil;
+// passes is the number of statistics passes over relations it took.
+func choose(db *relation.Database, q *query.Query, opts Options, cache *Cache) (best *Candidate, all []Candidate, passes int, err error) {
 	if err := q.Validate(); err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	est, err := newEstimator(db, q)
+	est, err := newEstimator(db, q, cache)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	limit := opts.maxOrders()
 	orders := connectedOrders(q, limit)
 	if len(orders) == 0 {
-		return nil, nil, fmt.Errorf("planner: no join order for %s", q.Name)
+		return nil, nil, 0, fmt.Errorf("planner: no join order for %s", q.Name)
 	}
 	if len(orders) >= limit {
 		// Enumeration truncated: add the greedy completions so at least one
@@ -189,32 +208,49 @@ func Choose(db *relation.Database, q *query.Query, opts Options) (*Candidate, []
 			}
 		}
 	}
-	cands := make([]Candidate, 0, len(orders))
+	rank := ranking{cands: make([]Candidate, 0, len(orders)), joined: make([]string, 0, len(orders))}
 	for _, order := range orders {
 		plan, err := query.LeftDeepPlan(q, order)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
 		off, rows := est.estimateOrder(order)
-		cands = append(cands, Candidate{
+		rank.cands = append(rank.cands, Candidate{
 			Order:        order,
 			Plan:         plan,
 			EstOffending: off,
 			EstRows:      rows,
 		})
+		rank.joined = append(rank.joined, strings.Join(order, ","))
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.EstOffending != b.EstOffending {
-			return a.EstOffending < b.EstOffending
-		}
-		if a.EstRows != b.EstRows {
-			return a.EstRows < b.EstRows
-		}
-		return strings.Join(a.Order, ",") < strings.Join(b.Order, ",")
-	})
-	best := cands[0]
-	return &best, cands, nil
+	sort.Sort(rank)
+	first := rank.cands[0]
+	return &first, rank.cands, est.passes, nil
+}
+
+// ranking sorts candidates best first; joined holds each candidate's order
+// as one string, the final tie-break, built once instead of per comparison.
+type ranking struct {
+	cands  []Candidate
+	joined []string
+}
+
+func (r ranking) Len() int { return len(r.cands) }
+
+func (r ranking) Less(i, j int) bool {
+	a, b := &r.cands[i], &r.cands[j]
+	if a.EstOffending != b.EstOffending {
+		return a.EstOffending < b.EstOffending
+	}
+	if a.EstRows != b.EstRows {
+		return a.EstRows < b.EstRows
+	}
+	return r.joined[i] < r.joined[j]
+}
+
+func (r ranking) Swap(i, j int) {
+	r.cands[i], r.cands[j] = r.cands[j], r.cands[i]
+	r.joined[i], r.joined[j] = r.joined[j], r.joined[i]
 }
 
 // connectedOrders enumerates left-deep atom orders whose every prefix shares

@@ -79,7 +79,7 @@ func TestEstimatorSeesConstants(t *testing.T) {
 	db.AddRelation(c)
 
 	free := query.MustParse("q :- C(y), B(x, y)")
-	est, err := newEstimator(db, free)
+	est, err := newEstimator(db, free, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestEstimatorSeesConstants(t *testing.T) {
 	}
 
 	bound := query.MustParse("q :- C(y), B(3, y)")
-	est2, err := newEstimator(db, bound)
+	est2, err := newEstimator(db, bound, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestEstimatorRepeatedVariable(t *testing.T) {
 	r.MustAdd(tuple.Ints(2, 2), 0.5)
 	db.AddRelation(r)
 	q := query.MustParse("q :- R(x, x)")
-	est, err := newEstimator(db, q)
+	est, err := newEstimator(db, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,11 @@
 package planner
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
-	"strings"
+	"slices"
+	"sync"
 
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -29,79 +30,51 @@ type keyStats struct {
 	multi    float64
 }
 
-// atomStats holds the filtered statistics of one atom.
-type atomStats struct {
-	pred   string
-	vars   []string       // distinct variables, atom order
-	varPos map[string]int // variable -> first argument position
-	rows   float64        // rows surviving the atom's selections
+// relStats is the name-free part of an atom's statistics: a pure function of
+// (relation contents, argument pattern), which is what lets a Cache share it
+// between atoms that differ only in their variable names.
+type relStats struct {
+	fill   sync.Once      // guards scan when the entry is shared through a Cache
+	rows   float64        // rows surviving the pattern's selections
 	unc    float64        // of those, rows with p < 1
-	tuples []relation.Row // the surviving rows, for distinct counting
-	kMemo  map[string]keyStats
+	tuples []relation.Row // the surviving rows, for distinct counting; read-only
+
+	mu   sync.Mutex // guards memo: evaluations share entries under a read lock
+	memo map[string]keyStats
 }
 
-// keys returns the exact key profile of the filtered rows projected onto the
-// given variables, memoized per variable set. The empty set behaves like a
-// single key covering every row.
-func (s *atomStats) keys(vars []string) keyStats {
-	sorted := append([]string(nil), vars...)
-	sort.Strings(sorted)
-	key := strings.Join(sorted, ",")
-	if k, ok := s.kMemo[key]; ok {
-		return k
-	}
-	var k keyStats
-	if len(vars) == 0 {
-		k.distinct = 1
-		if s.rows >= 2 {
-			k.multi = 1
-		}
-	} else {
-		idx := make([]int, len(sorted))
-		for i, v := range sorted {
-			idx[i] = s.varPos[v]
-		}
-		counts := make(map[string]int, len(s.tuples))
-		for _, row := range s.tuples {
-			counts[row.Tuple.KeyAt(idx)]++
-		}
-		k.distinct = float64(len(counts))
-		for _, c := range counts {
-			if c >= 2 {
-				k.multi++
-			}
-		}
-	}
-	s.kMemo[key] = k
-	return k
-}
-
-// newAtomStats filters the relation's rows through the atom's constant and
-// repeated-variable selections and counts what survives.
-func newAtomStats(rel *relation.Relation, a *query.Atom) (*atomStats, error) {
-	if len(a.Args) != len(rel.Attrs) {
-		return nil, fmt.Errorf("planner: atom %s has %d args, relation has %d attributes",
-			a.Pred, len(a.Args), len(rel.Attrs))
-	}
-	s := &atomStats{
-		pred:   a.Pred,
-		vars:   a.Vars(),
-		varPos: make(map[string]int, len(a.Args)),
-		kMemo:  make(map[string]keyStats),
-	}
+// scan filters rel's rows through a's constant and repeated-variable
+// selections and counts what survives. An atom that selects nothing aliases
+// rel.Rows instead of copying them.
+func (s *relStats) scan(rel *relation.Relation, a *query.Atom) {
+	s.memo = make(map[string]keyStats)
+	// first[i] is the position argument i must equal: i itself unless the
+	// argument repeats an earlier variable.
+	var buf [8]int
+	first := buf[:0]
+	selective := false
 	for i, t := range a.Args {
-		if t.IsVar() {
-			if _, ok := s.varPos[t.Var]; !ok {
-				s.varPos[t.Var] = i
+		first = append(first, firstArg(a, i))
+		if !t.IsVar() || first[i] != i {
+			selective = true
+		}
+	}
+	if !selective {
+		s.tuples = rel.Rows
+		s.rows = float64(len(rel.Rows))
+		for _, row := range rel.Rows {
+			if row.P < 1 {
+				s.unc++
 			}
 		}
+		return
 	}
 rows:
 	for _, row := range rel.Rows {
 		for i, t := range a.Args {
 			if t.IsVar() {
 				// Repeated variable: must match its first occurrence.
-				if p := s.varPos[t.Var]; p != i && row.Tuple[i].Compare(row.Tuple[p]) != 0 {
+				if p := first[i]; p != i && row.Tuple[i].Compare(row.Tuple[p]) != 0 {
 					continue rows
 				}
 			} else if row.Tuple[i].Compare(t.Const) != 0 {
@@ -114,7 +87,105 @@ rows:
 			s.unc++
 		}
 	}
-	return s, nil
+}
+
+// firstArg returns the position of the first argument of a that holds the
+// same variable as argument i: i itself for a constant or a first occurrence.
+func firstArg(a *query.Atom, i int) int {
+	if v := a.Args[i].Var; v != "" {
+		for j := 0; j < i; j++ {
+			if a.Args[j].Var == v {
+				return j
+			}
+		}
+	}
+	return i
+}
+
+// keys returns the exact key profile of the filtered rows projected onto the
+// given argument positions (ascending), memoized per position set. The empty
+// set behaves like a single key covering every row.
+func (s *relStats) keys(idx []int) keyStats {
+	var buf [16]byte
+	key := buf[:0]
+	for _, i := range idx {
+		key = binary.AppendUvarint(key, uint64(i))
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if k, ok := s.memo[string(key)]; ok {
+		return k
+	}
+	var k keyStats
+	if len(idx) == 0 {
+		k.distinct = 1
+		if s.rows >= 2 {
+			k.multi = 1
+		}
+	} else {
+		counts := make(map[string]int, len(s.tuples))
+		for _, row := range s.tuples {
+			counts[row.Tuple.KeyAt(idx)]++
+		}
+		k.distinct = float64(len(counts))
+		for _, c := range counts {
+			if c >= 2 {
+				k.multi++
+			}
+		}
+	}
+	s.memo[string(key)] = k
+	return k
+}
+
+// atomStats holds the filtered statistics of one atom: the variable names of
+// this query over the name-free statistics of its relation and pattern.
+type atomStats struct {
+	pred   string
+	vars   []string       // distinct variables, atom order
+	varPos map[string]int // variable -> first argument position
+	*relStats
+}
+
+// keys returns the key profile of the atom's rows projected onto the given
+// variables.
+func (s *atomStats) keys(vars []string) keyStats {
+	var buf [8]int
+	idx := buf[:0]
+	for _, v := range vars {
+		idx = append(idx, s.varPos[v])
+	}
+	slices.Sort(idx)
+	return s.relStats.keys(idx)
+}
+
+// newAtomStats builds the atom's statistics over rel: through the cache when
+// there is one (hit reports whether the relation pass was saved), otherwise by
+// a pass of its own.
+func newAtomStats(rel *relation.Relation, a *query.Atom, cache *Cache) (s *atomStats, hit bool, err error) {
+	if len(a.Args) != len(rel.Attrs) {
+		return nil, false, fmt.Errorf("planner: atom %s has %d args, relation has %d attributes",
+			a.Pred, len(a.Args), len(rel.Attrs))
+	}
+	s = &atomStats{
+		pred:   a.Pred,
+		vars:   a.Vars(),
+		varPos: make(map[string]int, len(a.Args)),
+	}
+	for i, t := range a.Args {
+		if t.IsVar() {
+			if _, ok := s.varPos[t.Var]; !ok {
+				s.varPos[t.Var] = i
+			}
+		}
+	}
+	if cache != nil {
+		s.relStats, hit = cache.statsFor(rel, a)
+	} else {
+		s.relStats = new(relStats)
+		s.relStats.scan(rel, a)
+	}
+	return s, hit, nil
 }
 
 // estimator scores join orders for one (query, database) pair.
@@ -122,9 +193,14 @@ type estimator struct {
 	q      *query.Query
 	atoms  []*atomStats
 	byPred map[string]int
+	// passes counts the atoms whose statistics took a pass over their
+	// relation (all of them without a cache).
+	passes int
 }
 
-func newEstimator(db *relation.Database, q *query.Query) (*estimator, error) {
+// newEstimator builds q's estimator over db, reading atom statistics through
+// cache when it is non-nil.
+func newEstimator(db *relation.Database, q *query.Query, cache *Cache) (*estimator, error) {
 	e := &estimator{q: q, byPred: make(map[string]int, len(q.Atoms))}
 	for i := range q.Atoms {
 		a := &q.Atoms[i]
@@ -132,9 +208,12 @@ func newEstimator(db *relation.Database, q *query.Query) (*estimator, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := newAtomStats(rel, a)
+		s, hit, err := newAtomStats(rel, a, cache)
 		if err != nil {
 			return nil, err
+		}
+		if !hit {
+			e.passes++
 		}
 		e.atoms = append(e.atoms, s)
 		e.byPred[a.Pred] = i

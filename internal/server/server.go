@@ -32,8 +32,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -129,6 +131,11 @@ type Server struct {
 	draining bool
 	admitted int            // requests past admission: queued + in flight
 	wg       sync.WaitGroup // admitted /query requests
+
+	// faultHook, when set, runs at the top of evaluateUncached: inside the
+	// worker slot and, for a cacheable request, inside its single-flight
+	// leadership. Tests use it to make a handler panic; nil in service.
+	faultHook func(*QueryRequest)
 }
 
 // New builds a Server over the database in cfg.
@@ -154,8 +161,38 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// ServeHTTP dispatches to the server's mux.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+// ServeHTTP dispatches to the server's mux behind the panic-recovery
+// middleware: a handler that panics is answered 500 with code "internal" and
+// counted in pdb_server_panics_total, and the process keeps serving. The
+// handlers release what they hold (worker slot, admission, single-flight
+// leadership) in defers, so the unwinding panic frees it before this
+// function answers.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	defer func() {
+		rec := recover()
+		if rec == nil {
+			return
+		}
+		if rec == http.ErrAbortHandler {
+			panic(rec) // net/http's own way of aborting a response
+		}
+		log.Printf("server: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, rec, debug.Stack())
+		s.cfg.Metrics.ServerPanic()
+		// If the handler had already written its header this is a no-op on
+		// the status line; the counter and the log still tell.
+		writeJSON(w, http.StatusInternalServerError, ErrorResponse{
+			Error: fmt.Sprintf("internal error: %v", rec),
+			Code:  "internal",
+		})
+		route := r.URL.Path
+		if route != "/query" && route != "/mutate" && route != "/healthz" {
+			route = "other"
+		}
+		s.cfg.Metrics.ServerResponse(route, http.StatusInternalServerError, time.Since(start))
+	}()
+	s.mux.ServeHTTP(w, r)
+}
 
 // InFlight returns the number of requests currently holding a worker slot.
 func (s *Server) InFlight() int { return int(s.inFlight.Load()) }
@@ -510,7 +547,7 @@ func (s *Server) evaluate(ctx context.Context, req *QueryRequest, start time.Tim
 	if req.TopK != 0 {
 		// Top-k rankings depend on sampler state, not just the query, so
 		// they never enter the result cache.
-		return s.evaluateTopK(req, start)
+		return s.evaluateTopK(ctx, req, start)
 	}
 	if s.cache == nil || req.Trace || req.Budget != nil || req.Degrade || req.NoCache {
 		return s.evaluateUncached(ctx, req, start)
@@ -555,8 +592,12 @@ func (s *Server) evaluate(ctx context.Context, req *QueryRequest, start time.Tim
 			return nil, errorResponse(err, nil, false), errorStatus(err)
 		}
 	}
-	resp, errResp, code := s.evaluateUncached(ctx, req, start)
+	// The flight is closed on every way out, a panic included: waiters then
+	// find nothing published and evaluate alone, and the key is not left with
+	// a leader that will never finish.
 	var published *QueryResponse
+	defer func() { s.cache.finish(vkey, f, published) }()
+	resp, errResp, code := s.evaluateUncached(ctx, req, start)
 	// Double-check against the per-relation version *vector*, not the
 	// whole-database scalar: a concurrent write to a relation outside the
 	// read set bumps the scalar but cannot have influenced this result, so
@@ -565,7 +606,6 @@ func (s *Server) evaluate(ctx context.Context, req *QueryRequest, start time.Tim
 		s.cache.put(rels, v1, vkey, resp)
 		published = resp
 	}
-	s.cache.finish(vkey, f, published)
 	return resp, errResp, code
 }
 
@@ -582,6 +622,9 @@ func cachedCopy(resp *QueryResponse, start time.Time) *QueryResponse {
 // already-deadlined context, including the degradation retry, and maps the
 // outcome onto a response + HTTP status.
 func (s *Server) evaluateUncached(ctx context.Context, req *QueryRequest, start time.Time) (*QueryResponse, *ErrorResponse, int) {
+	if s.faultHook != nil {
+		s.faultHook(req)
+	}
 	q, err := pdb.ParseQuery(req.Query)
 	if err != nil {
 		return nil, &ErrorResponse{Error: err.Error(), Code: "bad_request"}, http.StatusBadRequest
@@ -693,8 +736,9 @@ func (s *Server) evaluateUncached(ctx context.Context, req *QueryRequest, start 
 
 // evaluateTopK serves a top_k request: ranked answers with guaranteed
 // probability intervals via dissociation-seeded multisimulation, bypassing
-// the result cache.
-func (s *Server) evaluateTopK(req *QueryRequest, start time.Time) (*QueryResponse, *ErrorResponse, int) {
+// the result cache. It runs under the request's deadlined context like every
+// other evaluation: an expired deadline is a 504 and frees the worker slot.
+func (s *Server) evaluateTopK(ctx context.Context, req *QueryRequest, start time.Time) (*QueryResponse, *ErrorResponse, int) {
 	if req.TopK < 1 {
 		return nil, &ErrorResponse{Error: "top_k must be ≥ 1", Code: "bad_request"}, http.StatusBadRequest
 	}
@@ -708,7 +752,7 @@ func (s *Server) evaluateTopK(req *QueryRequest, start time.Time) (*QueryRespons
 			Code:  "bad_request",
 		}, http.StatusBadRequest
 	}
-	res, err := s.cfg.DB.TopKQuery(q, pdb.TopKOptions{
+	res, err := s.cfg.DB.TopKQueryContext(ctx, q, pdb.TopKOptions{
 		K:            req.TopK,
 		Seed:         req.Seed,
 		Eps:          req.Epsilon,

@@ -21,6 +21,7 @@
 package topk
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -112,8 +113,11 @@ type Result struct {
 	Sampled int
 }
 
-// FromGrounding runs bounds-seeded multisimulation over a query grounding.
-func FromGrounding(g *engine.Grounding, opts Options) (*Result, error) {
+// FromGrounding runs bounds-seeded multisimulation over a query grounding. It
+// checks ctx between answers while seeding and between refinement rounds, and
+// returns ctx's error as soon as it is done: a round is at most Batch samples
+// for each critical answer, so that is the latency of a cancellation.
+func FromGrounding(ctx context.Context, g *engine.Grounding, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if opts.K < 1 {
 		return nil, fmt.Errorf("topk: K must be at least 1 (got %d)", opts.K)
@@ -124,6 +128,9 @@ func FromGrounding(g *engine.Grounding, opts Options) (*Result, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	res := &Result{}
 	for i, ans := range g.Answers {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		st := &state{vals: ans.Vals, probOf: probOf}
 		st.f = ans.F.Simplify()
 		st.seedRNG = rng.Int63()
@@ -147,6 +154,9 @@ func FromGrounding(g *engine.Grounding, opts Options) (*Result, error) {
 		return res, nil
 	}
 	for round := 0; round < opts.MaxRounds; round++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		res.Rounds = round
 		critical := criticalSet(states, opts.K, opts.Eps)
 		if len(critical) == 0 {

@@ -1,8 +1,11 @@
 package topk
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -41,7 +44,7 @@ func groundSpec(t *testing.T, name string, p workload.Params) (*engine.Grounding
 func TestTopKMatchesExactRanking(t *testing.T) {
 	g, exact := groundSpec(t, "P1", workload.Params{N: 12, M: 30, Fanout: 3, RF: 0.2, RD: 1, Seed: 37})
 	const k = 4
-	res, err := FromGrounding(g, Options{K: k, Seed: 3})
+	res, err := FromGrounding(context.Background(), g, Options{K: k, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +71,7 @@ func TestTopKMatchesExactRanking(t *testing.T) {
 
 func TestTopKSmallLineageIsExact(t *testing.T) {
 	g, exact := groundSpec(t, "P1", workload.Params{N: 6, M: 10, Fanout: 3, RF: 0.1, RD: 1, Seed: 39})
-	res, err := FromGrounding(g, Options{K: 2, Seed: 1, ExactClauseLimit: 1 << 20})
+	res, err := FromGrounding(context.Background(), g, Options{K: 2, Seed: 1, ExactClauseLimit: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +115,7 @@ func TestTopKSimulationRefinesOnlyCritical(t *testing.T) {
 	}
 	// NoSeedBounds: this test exercises the cold multisimulation machinery —
 	// with dissociation seeding the intervals separate without any sampling.
-	res, err := FromGrounding(g, Options{K: 3, Seed: 5, ExactClauseLimit: 1, Batch: 512, MaxRounds: 200, NoSeedBounds: true})
+	res, err := FromGrounding(context.Background(), g, Options{K: 3, Seed: 5, ExactClauseLimit: 1, Batch: 512, MaxRounds: 200, NoSeedBounds: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +143,7 @@ func TestTopKSimulationRefinesOnlyCritical(t *testing.T) {
 
 func TestTopKEverythingFits(t *testing.T) {
 	g, _ := groundSpec(t, "P1", workload.Params{N: 3, M: 8, Fanout: 2, RF: 0.2, RD: 1, Seed: 43})
-	res, err := FromGrounding(g, Options{K: 50, Seed: 1})
+	res, err := FromGrounding(context.Background(), g, Options{K: 50, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +154,7 @@ func TestTopKEverythingFits(t *testing.T) {
 
 func TestTopKValidation(t *testing.T) {
 	g, _ := groundSpec(t, "P1", workload.Params{N: 2, M: 5, Fanout: 2, RF: 0, RD: 1, Seed: 45})
-	if _, err := FromGrounding(g, Options{K: 0}); err == nil {
+	if _, err := FromGrounding(context.Background(), g, Options{K: 0}); err == nil {
 		t.Error("K=0 accepted")
 	}
 }
@@ -182,12 +185,12 @@ func TestTopKSeedingBeatsCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{K: 3, Seed: 5, ExactClauseLimit: 1, Batch: 512, MaxRounds: 200}
-	seeded, err := FromGrounding(g, opts)
+	seeded, err := FromGrounding(context.Background(), g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.NoSeedBounds = true
-	cold, err := FromGrounding(g, opts)
+	cold, err := FromGrounding(context.Background(), g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +217,7 @@ func TestTopKSeedingBeatsCold(t *testing.T) {
 // probabilities.
 func TestTopKAllAnswersEqualsFullEvaluation(t *testing.T) {
 	g, exact := groundSpec(t, "P1", workload.Params{N: 8, M: 20, Fanout: 3, RF: 0.2, RD: 1, Seed: 47})
-	res, err := FromGrounding(g, Options{K: len(g.Answers) + 5, Seed: 2})
+	res, err := FromGrounding(context.Background(), g, Options{K: len(g.Answers) + 5, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,4 +255,54 @@ func kthLargest(xs []float64, k int) float64 {
 		k = len(s)
 	}
 	return s[k-1]
+}
+
+// countdownCtx reports cancellation from its (n+1)-th Err call on: a
+// cancellation that lands at a known check, whatever the machine's speed.
+type countdownCtx struct {
+	context.Context
+	left *int
+}
+
+func (c countdownCtx) Err() error {
+	if *c.left <= 0 {
+		return context.Canceled
+	}
+	*c.left--
+	return nil
+}
+
+// TestFromGroundingHonoursContext: an already-cancelled context returns
+// before any work, a cancellation during refinement stops at the next round
+// boundary, and a deadline shorter than one round surfaces as such instead of
+// running MaxRounds rounds.
+func TestFromGroundingHonoursContext(t *testing.T) {
+	g, _ := groundSpec(t, "P1", workload.Params{N: 12, M: 30, Fanout: 3, RF: 0.2, RD: 1, Seed: 37})
+	// Cold multisimulation with exact evaluation all but off, batches too
+	// small to separate anything, a tolerance no interval reaches and rounds
+	// without end: only the context stops it.
+	opts := Options{K: 2, Seed: 1, ExactClauseLimit: 1, Eps: 1e-12, Batch: 16, MaxRounds: 1 << 30, NoSeedBounds: true}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := FromGrounding(cancelled, g, opts); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled context: err = %v, want context.Canceled", err)
+	}
+
+	// One check per answer while seeding, one before the first round: the
+	// cancellation arrives while round 0 runs and is seen before round 1.
+	left := len(g.Answers) + 1
+	if _, err := FromGrounding(countdownCtx{context.Background(), &left}, g, opts); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled during round 0: err = %v, want context.Canceled", err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := FromGrounding(ctx, g, opts); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("1 ms deadline: err = %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("1 ms deadline returned after %v", d)
+	}
 }

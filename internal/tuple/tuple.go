@@ -57,7 +57,7 @@ func (t Tuple) Compare(u Tuple) int {
 func (t Tuple) Key() string {
 	b := make([]byte, 0, 8*len(t))
 	for _, v := range t {
-		b = v.appendKey(b)
+		b = v.AppendKey(b)
 		b = append(b, '|')
 	}
 	return string(b)
@@ -68,7 +68,7 @@ func (t Tuple) Key() string {
 func (t Tuple) KeyAt(idx []int) string {
 	b := make([]byte, 0, 8*len(idx))
 	for _, i := range idx {
-		b = t[i].appendKey(b)
+		b = t[i].AppendKey(b)
 		b = append(b, '|')
 	}
 	return string(b)

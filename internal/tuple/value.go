@@ -158,9 +158,10 @@ func isPlainInteger(s string) bool {
 	return true
 }
 
-// appendKey appends an unambiguous encoding of v to b, used to build
-// canonical map keys for tuples.
-func (v Value) appendKey(b []byte) []byte {
+// AppendKey appends an unambiguous, kind-tagged encoding of v to b: the unit
+// canonical tuple keys (Tuple.Key, Tuple.KeyAt) and the planner's cache keys
+// are built from. Int 1, float 1 and string "1" encode differently.
+func (v Value) AppendKey(b []byte) []byte {
 	switch v.kind {
 	case KindInt:
 		b = append(b, 'i')

@@ -180,3 +180,40 @@ func TestParallelismThroughFacade(t *testing.T) {
 		}
 	}
 }
+
+// TestTopKQueryContext: top-k grounds and refines under the caller's
+// context. An already-cancelled context stops in grounding; a deadline
+// shorter than one refinement round stops the multisimulation, which on tied
+// answers would otherwise run its whole round budget.
+func TestTopKQueryContext(t *testing.T) {
+	// Seventy copies of one 70-clause answer: past the exact-evaluation limit
+	// and inseparable, so cold multisimulation never finishes early.
+	db := bigTriangle(t, 70)
+	q := mustQuery(t, "q(a) :- R(a), S(a, b), T(b)")
+	opts := TopKOptions{K: 2, Seed: 1, NoSeedBounds: true}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := db.TopKQueryContext(cancelled, q, opts); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled context: err = %v, want context.Canceled", err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := db.TopKQueryContext(ctx, q, opts); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("20 ms deadline: err = %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("20 ms deadline returned after %v", d)
+	}
+
+	// With seeding the same answers are read-once: ranked without a round.
+	res, err := db.TopKQueryContext(context.Background(), q, TopKOptions{K: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Answers) != 2 {
+		t.Errorf("seeded top-2 returned %d answers", len(res.Answers))
+	}
+}

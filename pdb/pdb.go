@@ -106,6 +106,10 @@ type Budget = core.Budget
 // Database.CircuitCacheStats and Materialized.CircuitStats.
 type CircuitCacheStats = lineage.CircuitCacheStats
 
+// PlanCacheStats reports the planning cache's counters; returned by
+// Database.PlanCacheStats.
+type PlanCacheStats = planner.CacheStats
+
 // Budget-exhaustion errors, matchable with errors.Is. Time exhaustion
 // surfaces as context.DeadlineExceeded, cancellation as context.Canceled.
 var (
@@ -280,6 +284,27 @@ type Database struct {
 	// structure with new leaf probabilities, and structural writes produce
 	// new keys while stale entries age out of the LRU.
 	circuits *lineage.CircuitCache
+
+	// plans is the database's planning cache, attached to every evaluation
+	// the way circuits is: per-relation statistics and chosen plans, each
+	// remembered together with the relVersions it was computed at. An entry
+	// whose version is no longer the relation's is replaced by the lookup that
+	// finds it, so the write path above knows nothing of it — a mutation
+	// re-derives one relation's statistics at the next plan and leaves the
+	// rest. The cache reads relVersions without locking: every caller
+	// (evaluation, OptimizePlan) already holds mu.RLock.
+	plans *planner.Cache
+}
+
+// newDatabase wraps db with empty caches; relation versions start at zero.
+func newDatabase(db *relation.Database) *Database {
+	d := &Database{
+		db:          db,
+		relVersions: make(map[string]int64),
+		circuits:    lineage.NewCircuitCache(lineage.CircuitCacheConfig{}),
+	}
+	d.plans = planner.NewCache(func(rel string) int64 { return d.relVersions[rel] })
+	return d
 }
 
 // maxDeltaLog bounds the retained mutation log. Refreshers that fall behind
@@ -288,13 +313,7 @@ type Database struct {
 const maxDeltaLog = 4096
 
 // NewDatabase creates an empty database.
-func NewDatabase() *Database {
-	return &Database{
-		db:          relation.NewDatabase(),
-		relVersions: make(map[string]int64),
-		circuits:    lineage.NewCircuitCache(lineage.CircuitCacheConfig{}),
-	}
-}
+func NewDatabase() *Database { return newDatabase(relation.NewDatabase()) }
 
 // LoadDatabase reads a database from a directory of <name>.csv files as
 // written by SaveDir (header row naming the attributes plus a final "p"
@@ -304,11 +323,7 @@ func LoadDatabase(dir string) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Database{
-		db:          db,
-		relVersions: make(map[string]int64),
-		circuits:    lineage.NewCircuitCache(lineage.CircuitCacheConfig{}),
-	}
+	out := newDatabase(db)
 	for _, name := range db.Names() {
 		out.relVersions[name] = 1
 	}
@@ -337,6 +352,14 @@ func (d *Database) Version() int64 { return d.version.Load() }
 // include cross-query reuse of common lineage cores.
 func (d *Database) CircuitCacheStats() CircuitCacheStats {
 	return d.circuits.Stats()
+}
+
+// PlanCacheStats reports the database's planning cache: plan-tier hits and
+// misses (a hit plans a repeated query in a lookup), statistics-tier hits and
+// misses (a miss is one pass over a relation; a mutation costs one, on the
+// relation it touched), and what the two tiers currently hold.
+func (d *Database) PlanCacheStats() PlanCacheStats {
+	return d.plans.Stats()
 }
 
 // RelationVersion returns the named relation's mutation counter: 0 if the
@@ -693,7 +716,7 @@ type PlanChoice struct {
 func (d *Database) OptimizePlan(q *Query) (*PlanChoice, []PlanChoice, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	best, all, err := planner.Choose(d.db, q.q, planner.Options{})
+	best, all, err := d.plans.Choose(d.db, q.q)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -866,26 +889,28 @@ func (d *Database) TopK(q *Query, k int, seed int64) ([]TopAnswer, bool, error) 
 
 // TopKQuery is TopK with full options and a full result: ranked answers
 // plus how the ranking was earned (rounds, seeding, sampling). The
-// evaluation is recorded into the pdb_topk_* process metrics.
+// evaluation is recorded into the pdb_topk_* process metrics. It is
+// TopKQueryContext with a background context.
 func (d *Database) TopKQuery(q *Query, opts TopKOptions) (*TopKResult, error) {
-	plan, err := query.SafePlan(q.q)
+	return d.TopKQueryContext(context.Background(), q, opts)
+}
+
+// TopKQueryContext is TopKQuery under a context: grounding polls ctx as every
+// evaluation does, and the multisimulation checks it between refinement
+// rounds, so a cancelled or expired ctx returns its error within one round.
+func (d *Database) TopKQueryContext(ctx context.Context, q *Query, opts TopKOptions) (*TopKResult, error) {
+	plan, err := viewPlan(q)
 	if err != nil {
-		order := make([]string, len(q.q.Atoms))
-		for i := range q.q.Atoms {
-			order[i] = q.q.Atoms[i].Pred
-		}
-		plan, err = query.LeftDeepPlan(q.q, order)
-		if err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
+	ec := core.NewExecContext(ctx, core.ExecConfig{})
 	d.mu.RLock()
-	g, err := engine.Ground(d.db, q.q, plan)
+	g, err := engine.GroundCtx(ec, d.db, q.q, plan)
 	d.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
-	res, err := topk.FromGrounding(g, topk.Options{
+	res, err := topk.FromGrounding(ctx, g, topk.Options{
 		K:            opts.K,
 		Seed:         opts.Seed,
 		Eps:          opts.Eps,
@@ -931,6 +956,7 @@ func (d *Database) EvaluateContext(ctx context.Context, q *Query, opts Options) 
 	start := time.Now()
 	eo := opts.engineOptions()
 	eo.Circuits = d.circuits
+	eo.Plans = d.plans
 	d.mu.RLock()
 	res, err := engine.EvaluateQueryContext(ctx, d.db, q.q, eo)
 	d.mu.RUnlock()
