@@ -183,16 +183,16 @@ func main() {
 			if err := f.Close(); err != nil {
 				fatal(err)
 			}
-			fmt.Printf("== Planner: adaptive cost-aware planning vs legacy pipeline (scale=%s) ==\n", sc.Name)
-			fmt.Printf("%-22s %14s %14s %8s %18s %s\n", "workload", "legacy (ns)", "adaptive (ns)", "speedup", "offending (l/a)", "plan")
+			fmt.Printf("== Planner: the planner's plan vs the fixed safe-else-body-order plan (scale=%s) ==\n", sc.Name)
+			fmt.Printf("%-22s %14s %14s %8s %18s %s\n", "workload", "fixed (ns)", "adaptive (ns)", "speedup", "offending (f/a)", "plan")
 			for _, pt := range rep.Workloads {
 				if pt.Err != "" {
 					fmt.Printf("%-22s err: %s\n", pt.Query, pt.Err)
 					continue
 				}
 				fmt.Printf("%-22s %14d %14d %7.2fx %10d/%-7d %s [%s]\n",
-					pt.Query, pt.LegacyNs, pt.AdaptiveNs, pt.Speedup,
-					pt.LegacyOffending, pt.AdaptiveOffending, pt.PlanSource, pt.PlanOrder)
+					pt.Query, pt.FixedNs, pt.AdaptiveNs, pt.Speedup,
+					pt.FixedOffending, pt.AdaptiveOffending, pt.PlanSource, pt.PlanOrder)
 			}
 			for _, c := range rep.Backends {
 				fmt.Printf("backend %-16s attempts=%d wins=%d fallbacks=%d mean=%dns\n",

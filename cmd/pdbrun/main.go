@@ -29,7 +29,7 @@ func main() {
 	var (
 		dataDir   = flag.String("data", "", "directory of <relation>.csv files (required)")
 		queryText = flag.String("query", "", "conjunctive query, e.g. 'q(h) :- R(h,x), S(h,x,y)' (required)")
-		order     = flag.String("order", "", "comma-separated left-deep join order (default: safe plan if the query is safe, else body order)")
+		order     = flag.String("order", "", "comma-separated left-deep join order (default: the planner's choice: the safe plan if the query is safe, else the order it estimates to condition the fewest tuples)")
 		strategy  = flag.String("strategy", "partial", "evaluation strategy: partial, safe, network, dnf, mc or dissociation")
 		samples   = flag.Int("samples", 100000, "samples for mc and the approximate fallback")
 		parallel  = flag.Int("parallel", 1, "deprecated alias for -parallelism")
@@ -42,7 +42,6 @@ func main() {
 		dotOut    = flag.String("dot", "", "write the AND-OR network to this file (network strategies)")
 		topK      = flag.Int("top", 20, "print at most this many answers (0 = all)")
 		optimize  = flag.Bool("optimize", false, "data-aware plan selection: cost candidate join orders and use the best (the default evaluation path already does this; -optimize additionally prints the ranking)")
-		noAdapt   = flag.Bool("no-adaptive-plan", false, "disable the cost-aware planner: safe-plan-else-body-order plans and the fixed legacy inference backend order")
 		noCircuit = flag.Bool("no-circuit", false, "disable the compiled-circuit exact backend: exact inference reverts to the memoized Shannon solver (ablation; answers are bit-identical either way)")
 		sqlOut    = flag.String("sql", "", "write the paper-style SQL batch implementing the plan to this file ('-' for stdout)")
 		trace     = flag.Bool("trace", false, "print a per-operator execution trace (network strategies)")
@@ -78,7 +77,7 @@ func main() {
 	if par == 0 {
 		par = *parallel
 	}
-	opts := pdb.Options{Strategy: strat, Samples: *samples, MaxWidth: *width, Seed: *seed, Parallelism: par, Trace: *trace || *explain, NoAdaptivePlan: *noAdapt, NoCircuit: *noCircuit}
+	opts := pdb.Options{Strategy: strat, Samples: *samples, MaxWidth: *width, Seed: *seed, Parallelism: par, Trace: *trace || *explain, NoCircuit: *noCircuit}
 	opts.Budget.Mem = *memBudget
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -131,7 +130,7 @@ func main() {
 			if plan, err := pdb.SafePlan(q); err == nil {
 				fmt.Println("plan (safe):", plan)
 			} else {
-				fmt.Println("plan: left-deep in body order (query is unsafe:", err, ")")
+				fmt.Println("plan: left-deep, join order chosen by the planner (query is unsafe:", err, "); -explain prints it")
 			}
 		}
 		res, err = db.EvaluateContext(ctx, q, opts)

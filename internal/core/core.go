@@ -217,14 +217,12 @@ type Stats struct {
 
 	// Memo counters (performance layer, PR 5): hits/misses/evictions across
 	// the evaluation's shared inference memo tables (lineage Shannon
-	// subproblems and VE component solves combined), InternHits the number
-	// of canonical-fingerprint reuses in the lineage interner, ConsHits the
-	// number of AddGate calls answered by the network's hash-consing table
-	// instead of allocating a node. All zero when memoization is disabled.
+	// subproblems and VE component solves combined), ConsHits the number of
+	// AddGate calls answered by the network's hash-consing table instead of
+	// allocating a node. All zero when memoization is disabled.
 	MemoHits      int64
 	MemoMisses    int64
 	MemoEvictions int64
-	InternHits    int64
 	ConsHits      int
 
 	// Compiled-circuit counters (knowledge-compilation layer).
@@ -238,8 +236,8 @@ type Stats struct {
 	CircuitEvals    int64
 
 	// Planner fields (adaptive planning layer). PlanSource labels how the
-	// physical plan was chosen ("safe", "greedy" or "body"); PlanOrder is
-	// the comma-joined join order behind it (empty for safe plans);
+	// physical plan was chosen ("safe" or "greedy"); PlanOrder is the
+	// comma-joined join order behind it (empty for safe plans);
 	// PlanEstOffending and PlanCandidates are the estimator's offending
 	// prediction for the chosen order and the number of orders it scored;
 	// PlanSelectTime is the wall time spent choosing (PlanTime, by contrast,

@@ -251,11 +251,7 @@ func compareAnswers(s core.Strategy, res *pdb.Result, oracle *Oracle, bound func
 // only-certain tuples) or empty are computed exactly by the sampler's
 // shortcut paths and get a zero-width band.
 func mcBounds(in *Instance, opts Options) (map[string]float64, error) {
-	order := make([]string, len(in.Q.Atoms))
-	for i := range in.Q.Atoms {
-		order[i] = in.Q.Atoms[i].Pred
-	}
-	plan, err := query.LeftDeepPlan(in.Q, order)
+	plan, err := query.LeftDeepPlan(in.Q, query.BodyOrder(in.Q))
 	if err != nil {
 		return nil, err
 	}

@@ -10,25 +10,14 @@ import (
 	"repro/pdb"
 )
 
-// memoAblations are the option sets whose answers must be bit-identical to
-// the default configuration: memoization, key interning and scratch pooling
-// are pure work-avoidance and may not shift a single float bit. (NoCons is
-// deliberately absent — disabling hash-consing changes the network *shape*,
-// which is a benchmark dimension, not an equivalence.)
-var memoAblations = []struct {
-	name string
-	set  func(*pdb.Options)
-}{
-	{"no-memo", func(o *pdb.Options) { o.NoMemo = true }},
-	{"no-intern", func(o *pdb.Options) { o.NoIntern = true }},
-	{"no-pool", func(o *pdb.Options) { o.NoPool = true }},
-	{"all-off", func(o *pdb.Options) { o.NoMemo, o.NoIntern, o.NoPool = true, true, true }},
-}
-
 // TestMemoBitIdentical sweeps seeded random instances and asserts that every
 // exact strategy computes bit-identical answer probabilities with the
-// memo/interning/pooling levels on and off — a comparison to ±0, not to a
-// tolerance. Both serial and parallel evaluations are held to it.
+// shared memo tables on and off — memoization is pure work-avoidance, so the
+// comparison is to ±0, not to a tolerance. Both serial and parallel
+// evaluations are held to it. (NoCons is deliberately not compared this way
+// — disabling hash-consing changes the network *shape*, which is a benchmark
+// dimension, not an equivalence. Pooled against unpooled scratch is
+// pl.TestPoolingByteIdentical.)
 func TestMemoBitIdentical(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		in := Generate(seed, GenConfig{})
@@ -44,26 +33,24 @@ func TestMemoBitIdentical(t *testing.T) {
 			for _, par := range []int{0, 4} {
 				base := pdb.Options{Strategy: s, Parallelism: par, NoFallback: true}
 				ref, errRef := db.Evaluate(q, base)
-				for _, ab := range memoAblations {
-					opts := base
-					ab.set(&opts)
-					got, errGot := db.Evaluate(q, opts)
-					if (errRef == nil) != (errGot == nil) {
-						t.Fatalf("seed %d strategy %v par %d %s: outcome changed: %v vs %v",
-							seed, s, par, ab.name, errRef, errGot)
-					}
-					if errRef != nil {
-						continue // e.g. safe declining a non-data-safe instance
-					}
-					if len(ref.Rows) != len(got.Rows) {
-						t.Fatalf("seed %d strategy %v par %d %s: answer count %d vs %d",
-							seed, s, par, ab.name, len(ref.Rows), len(got.Rows))
-					}
-					for _, row := range ref.Rows {
-						if p := got.Prob(row.Vals...); p != row.P {
-							t.Fatalf("seed %d strategy %v par %d %s: answer %v: %v vs %v (must be bit-identical)",
-								seed, s, par, ab.name, row.Vals, row.P, p)
-						}
+				opts := base
+				opts.NoMemo = true
+				got, errGot := db.Evaluate(q, opts)
+				if (errRef == nil) != (errGot == nil) {
+					t.Fatalf("seed %d strategy %v par %d no-memo: outcome changed: %v vs %v",
+						seed, s, par, errRef, errGot)
+				}
+				if errRef != nil {
+					continue // e.g. safe declining a non-data-safe instance
+				}
+				if len(ref.Rows) != len(got.Rows) {
+					t.Fatalf("seed %d strategy %v par %d no-memo: answer count %d vs %d",
+						seed, s, par, len(ref.Rows), len(got.Rows))
+				}
+				for _, row := range ref.Rows {
+					if p := got.Prob(row.Vals...); p != row.P {
+						t.Fatalf("seed %d strategy %v par %d no-memo: answer %v: %v vs %v (must be bit-identical)",
+							seed, s, par, row.Vals, row.P, p)
 					}
 				}
 			}
@@ -92,7 +79,7 @@ func TestKarpLubySeedReproducibleWithMemo(t *testing.T) {
 		}
 		variants := []pdb.Options{
 			base, // plain repeat
-			{Strategy: core.MonteCarlo, Seed: seed, Samples: 500, NoMemo: true, NoIntern: true, NoPool: true},
+			{Strategy: core.MonteCarlo, Seed: seed, Samples: 500, NoMemo: true},
 			{Strategy: core.MonteCarlo, Seed: seed, Samples: 500, Parallelism: 4},
 		}
 		for i, opts := range variants {

@@ -10,19 +10,23 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/planner"
+	"repro/internal/query"
 	"repro/internal/tuple"
 	"repro/pdb"
 )
 
-// This file pins the adaptive-planning layer's correctness contract: for
-// every strategy, evaluating with the cost-aware planner on and off yields
-// the same answer set, with exact answers agreeing to within the float
-// tolerance in general and bit-identically on dyadic instances; and the
-// backend-stats sink never influences any result byte.
+// This file pins the planner's correctness contract: for every strategy,
+// evaluating with the plan the cost-aware planner chooses and with a fixed
+// plan supplied by the caller yields the same answer set, with exact answers
+// agreeing to within the float tolerance in general and bit-identically on
+// dyadic instances; and the backend-stats sink never influences any result
+// byte.
 
-// evalMode evaluates one instance under one strategy with the adaptive
-// planner on or off, returning the answers keyed by head tuple.
-func evalMode(t *testing.T, in *Instance, s core.Strategy, noAdaptive bool) (map[string]float64, error) {
+// evalMode evaluates one instance under one strategy, with the planner's
+// plan or (fixed) with the plan a caller would write without a planner — the
+// safe plan when the query has one, else the left-deep plan in body order —
+// handed to EvaluateWithPlan. It returns the answers keyed by head tuple.
+func evalMode(t *testing.T, in *Instance, s core.Strategy, fixed bool) (map[string]float64, error) {
 	t.Helper()
 	db, err := toPDB(in)
 	if err != nil {
@@ -32,12 +36,19 @@ func evalMode(t *testing.T, in *Instance, s core.Strategy, noAdaptive bool) (map
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.EvaluateContext(context.Background(), q, pdb.Options{
-		Strategy:       s,
-		Seed:           1,
-		NoFallback:     s != core.MonteCarlo,
-		NoAdaptivePlan: noAdaptive,
-	})
+	opts := pdb.Options{Strategy: s, Seed: 1, NoFallback: s != core.MonteCarlo}
+	var res *pdb.Result
+	if fixed {
+		plan, perr := pdb.SafePlan(q)
+		if perr != nil {
+			if plan, perr = pdb.LeftDeepPlan(q, query.BodyOrder(in.Q)...); perr != nil {
+				t.Fatal(perr)
+			}
+		}
+		res, err = db.EvaluateWithPlanContext(context.Background(), q, plan, opts)
+	} else {
+		res, err = db.EvaluateContext(context.Background(), q, opts)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -48,18 +59,18 @@ func evalMode(t *testing.T, in *Instance, s core.Strategy, noAdaptive bool) (map
 	return out, nil
 }
 
-// notDataSafe reports the one legitimate mode-dependent outcome: the
-// SafePlanOnly strategy declines instances whose chosen plan needs
-// conditioning, and the two modes choose different plans.
+// notDataSafe reports the one legitimate plan-dependent outcome: the
+// SafePlanOnly strategy declines instances whose plan needs conditioning,
+// and the two sides run different plans.
 func notDataSafe(s core.Strategy, err error) bool {
 	return s == core.SafePlanOnly && errors.Is(err, engine.ErrNotDataSafe)
 }
 
-// TestAdaptivePlanMatchesLegacy compares every exact strategy with the
-// planner on and off across random instances: identical answer sets, every
-// probability within tolerance of the other mode and of the possible-world
-// oracle.
-func TestAdaptivePlanMatchesLegacy(t *testing.T) {
+// TestAdaptivePlanMatchesFixedPlan compares every exact strategy under the
+// planner's plan and under the fixed plan across random instances: identical
+// answer sets, every probability within tolerance of the other side and of
+// the possible-world oracle.
+func TestAdaptivePlanMatchesFixedPlan(t *testing.T) {
 	const tol = 1e-9
 	for seed := int64(0); seed < 60; seed++ {
 		in := Generate(seed, GenConfig{})
@@ -71,30 +82,30 @@ func TestAdaptivePlanMatchesLegacy(t *testing.T) {
 			on, errOn := evalMode(t, in, s, false)
 			off, errOff := evalMode(t, in, s, true)
 			// SafePlanOnly may decline under one plan and succeed under the
-			// other; whichever mode answered is still checked against the
+			// other; whichever side answered is still checked against the
 			// oracle below.
 			if errOn != nil && !notDataSafe(s, errOn) {
 				t.Fatalf("seed %d strategy %v adaptive: %v", seed, s, errOn)
 			}
 			if errOff != nil && !notDataSafe(s, errOff) {
-				t.Fatalf("seed %d strategy %v legacy: %v", seed, s, errOff)
+				t.Fatalf("seed %d strategy %v fixed: %v", seed, s, errOff)
 			}
 			if errOn == nil && errOff == nil {
 				if len(on) != len(off) {
-					t.Errorf("seed %d strategy %v: answer sets differ (%d adaptive vs %d legacy)", seed, s, len(on), len(off))
+					t.Errorf("seed %d strategy %v: answer sets differ (%d adaptive vs %d fixed)", seed, s, len(on), len(off))
 				}
 				for k, p := range on {
 					q, ok := off[k]
 					if !ok {
-						t.Errorf("seed %d strategy %v: answer %q only in adaptive mode", seed, s, k)
+						t.Errorf("seed %d strategy %v: answer %q only under the adaptive plan", seed, s, k)
 						continue
 					}
 					if math.Abs(p-q) > tol {
-						t.Errorf("seed %d strategy %v answer %q: adaptive %.12g vs legacy %.12g", seed, s, k, p, q)
+						t.Errorf("seed %d strategy %v answer %q: adaptive %.12g vs fixed %.12g", seed, s, k, p, q)
 					}
 				}
 			}
-			for mode, got := range map[string]map[string]float64{"adaptive": on, "legacy": off} {
+			for mode, got := range map[string]map[string]float64{"adaptive": on, "fixed": off} {
 				if got == nil {
 					continue
 				}
@@ -130,9 +141,9 @@ func dyadic(in *Instance) *Instance {
 }
 
 // TestAdaptivePlanBitIdenticalDyadic proves the strong form of plan
-// independence on dyadic instances: for every exact strategy, planner on and
-// off produce bitwise-identical probabilities, and all exact strategies
-// agree bitwise with each other.
+// independence on dyadic instances: for every exact strategy, the planner's
+// plan and the fixed plan produce bitwise-identical probabilities, and all
+// exact strategies agree bitwise with each other.
 func TestAdaptivePlanBitIdenticalDyadic(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		in := dyadic(Generate(seed, GenConfig{}))
@@ -145,14 +156,14 @@ func TestAdaptivePlanBitIdenticalDyadic(t *testing.T) {
 				if notDataSafe(s, errOn) || notDataSafe(s, errOff) {
 					continue
 				}
-				t.Fatalf("seed %d strategy %v: adaptive err %v, legacy err %v", seed, s, errOn, errOff)
+				t.Fatalf("seed %d strategy %v: adaptive err %v, fixed err %v", seed, s, errOn, errOff)
 			}
 			if len(on) != len(off) {
 				t.Fatalf("seed %d strategy %v: answer sets differ", seed, s)
 			}
 			for k, p := range on {
 				if q, ok := off[k]; !ok || math.Float64bits(p) != math.Float64bits(q) {
-					t.Errorf("seed %d strategy %v answer %q: adaptive %x vs legacy %x bits", seed, s, k, math.Float64bits(p), math.Float64bits(off[k]))
+					t.Errorf("seed %d strategy %v answer %q: adaptive %x vs fixed %x bits", seed, s, k, math.Float64bits(p), math.Float64bits(off[k]))
 				}
 			}
 			if ref == nil {

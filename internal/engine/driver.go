@@ -32,7 +32,7 @@ type confidence struct {
 	reason  string
 	dur     time.Duration
 	// fallbacks names the ranked backends that failed deterministically
-	// before backend succeeded (adaptive dispatch only); predictMiss marks
+	// before backend succeeded (answerMarginal's ranking); predictMiss marks
 	// an answer whose first-ranked backend was not the one that produced p.
 	fallbacks   []string
 	predictMiss bool

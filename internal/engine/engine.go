@@ -107,30 +107,14 @@ type Options struct {
 	// bit-identical with and without them; the flag exists for the
 	// performance ablation and the crosscheck equivalence tests.
 	NoMemo bool
-	// NoIntern disables canonical-fingerprint interning inside the shared
-	// lineage memo (keys stay per-call strings). Observable only through
-	// Stats.InternHits and memory footprint.
-	NoIntern bool
 	// NoCons disables AND-OR network hash-consing of deterministic gates.
 	// Always sound (fresh nodes are never wrong, only more numerous); for
 	// the node-count benchmark and the Section 5.4 ablation.
 	NoCons bool
-	// NoPool disables sync.Pool reuse of the hash-join/dedup partition
-	// tables in internal/pl. Outputs are byte-identical either way; the
-	// flag exists for the allocation benchmark.
-	NoPool bool
-	// NoAdaptivePlan disables the cost-aware planner: EvaluateQuery falls
-	// back to the legacy safe-plan-else-body-order plan choice, and the
-	// per-answer inference dispatch uses the fixed legacy try-order
-	// (Shannon on the expanded lineage, then variable elimination, then
-	// sampling) instead of the planner cost model's ranking. The ablation
-	// knob for the adaptive-planning layer; results are equivalent either
-	// way — see docs/PLANNER.md.
-	NoAdaptivePlan bool
 	// PlannerSink, when set, accumulates per-backend attempt outcomes from
-	// the ranked inference dispatch (adaptive mode only). The sink feeds
-	// observability exclusively — metrics, EXPLAIN, calibration reports —
-	// and never influences backend ranking; see planner.Sink.
+	// the ranked inference dispatch. The sink feeds observability
+	// exclusively — metrics, EXPLAIN, calibration reports — and never
+	// influences backend ranking; see planner.Sink.
 	PlannerSink *planner.Sink
 	// Circuits, when set, enables the compiled-circuit inference backend:
 	// expanded DNF lineage is compiled once to a d-DNNF circuit cached in
@@ -148,7 +132,8 @@ type Options struct {
 	// a repeated query plans in a lookup. Plans are the same with and without
 	// it (see planner.Cache). The pdb layer attaches one per database, and the
 	// cache reads relation versions under the read lock the evaluation holds.
-	// Ignored under NoAdaptivePlan, which never consults the planner.
+	// Evaluate and EvaluateContext, whose caller supplies the plan, never
+	// consult it.
 	Plans *planner.Cache
 	// NoCircuit disables the compiled-circuit backend even when a cache is
 	// attached — the ablation knob mirrored by pdb.Options.NoCircuit and the
@@ -176,14 +161,66 @@ func (o Options) samples() int {
 	return o.Samples
 }
 
+// SampleCountError reports an (ε, δ) request whose Karp–Luby sample count
+// ⌈4·m·ln(2/δ)/ε²⌉ does not fit an int for an answer of m clauses. The pair
+// is valid, so validateEpsDelta accepts it; only the answer's clause count
+// tells whether it can be honoured. Matchable with errors.As.
+type SampleCountError struct {
+	Epsilon, Delta float64
+	Clauses        int
+}
+
+func (e *SampleCountError) Error() string {
+	return fmt.Sprintf("engine: ε=%v δ=%v on a %d-clause lineage asks for more Karp–Luby samples than an int holds; raise ε or δ",
+		e.Epsilon, e.Delta, e.Clauses)
+}
+
 // klSamples returns the Karp–Luby sample count for an answer whose DNF has
 // the given clause count: the (ε, δ)-derived count when Epsilon/Delta are
 // set, Options.Samples otherwise.
-func (o Options) klSamples(clauses int) int {
+func (o Options) klSamples(clauses int) (int, error) {
 	if o.Epsilon > 0 && o.Delta > 0 && clauses > 0 {
-		return int(math.Ceil(4 * float64(clauses) * math.Log(2/o.Delta) / (o.Epsilon * o.Epsilon)))
+		n := math.Ceil(4 * float64(clauses) * math.Log(2/o.Delta) / (o.Epsilon * o.Epsilon))
+		// float64(math.MaxInt) is 2^63, the first value that does not fit.
+		if !(n < math.MaxInt) {
+			return 0, &SampleCountError{Epsilon: o.Epsilon, Delta: o.Delta, Clauses: clauses}
+		}
+		return int(n), nil
 	}
-	return o.samples()
+	return o.samples(), nil
+}
+
+// solveExact computes the exact probability of f within ExactBudget Shannon
+// expansions and names the backend that did: the compiled-circuit evaluator
+// when the evaluation carries a circuit cache, the Shannon solver over lm (a
+// nil lm is the solver's per-call memo alone) otherwise. The two return the
+// same floats bit for bit; a cached circuit spends no budget, so they can
+// differ only in which formulas end in lineage.ErrBudget.
+func (o Options) solveExact(ec *core.ExecContext, f *lineage.DNF, probOf func(lineage.Var) float64, lm *lineage.Memo) (float64, string, error) {
+	if cache := o.circuitCache(); cache != nil {
+		p, err := lineage.CircuitProbCtx(ec, f, probOf, o.exactBudget(), cache, o.circuitStats)
+		return p, "circuit", err
+	}
+	p, err := lineage.ProbMemoCtx(ec, f, probOf, o.exactBudget(), lm)
+	return p, "shannon", err
+}
+
+// karpLuby is the sampling fallback on a DNF: the (ε, δ) or fixed sample
+// count for its clause count, drawn from the job's own RNG (see jobRNG).
+func (o Options) karpLuby(ec *core.ExecContext, f *lineage.DNF, probOf func(lineage.Var) float64, job int64) (float64, error) {
+	n, err := o.klSamples(len(f.Clauses))
+	if err != nil {
+		return 0, err
+	}
+	return lineage.KarpLubyCtx(ec, f, probOf, n, o.jobRNG(job))
+}
+
+// jobRNG derives one inference job's sampling RNG from the evaluation seed
+// and the job's identity — the answer's index in a grounding, its lineage
+// node in a network — so approximate paths are reproducible at any
+// Parallelism.
+func (o Options) jobRNG(job int64) *rand.Rand {
+	return rand.New(rand.NewSource(o.Seed ^ (job+1)*0x7f4a7c15))
 }
 
 // validateEpsDelta rejects half-set or out-of-range (ε, δ) pairs.
@@ -283,7 +320,7 @@ func EvaluateContext(ctx context.Context, db *relation.Database, q *query.Query,
 		Budget:      opts.Budget,
 		Parallelism: opts.Parallelism,
 		Trace:       opts.Trace,
-		Pooling:     !opts.NoPool,
+		Pooling:     true,
 	})
 	var res *Result
 	var err error
@@ -329,9 +366,8 @@ func EvaluateContext(ctx context.Context, db *relation.Database, q *query.Query,
 
 // EvaluateQuery is Evaluate with a plan chosen for the query: the safe plan
 // when one exists, otherwise the join order the cost-aware planner estimates
-// to condition the fewest offending tuples (planner.Plan). With
-// Options.NoAdaptivePlan the legacy choice applies instead — safe plan else
-// the left-deep plan in body order.
+// to condition the fewest offending tuples (planner.Plan). A caller that
+// wants another plan passes it to Evaluate.
 func EvaluateQuery(db *relation.Database, q *query.Query, opts Options) (*Result, error) {
 	return EvaluateQueryContext(context.Background(), db, q, opts)
 }
@@ -362,17 +398,10 @@ func EvaluateQueryContext(ctx context.Context, db *relation.Database, q *query.Q
 // cache was consulted). The IR may be shared with other evaluations: the
 // engine only ever reads it.
 func planQuery(db *relation.Database, q *query.Query, opts Options) (ir *planner.IR, cached string, err error) {
-	switch {
-	case opts.NoAdaptivePlan:
-		if plan, err := query.SafePlan(q); err == nil {
-			return &planner.IR{Source: planner.SourceSafe, Physical: plan}, "", nil
-		}
-		ir, err = planner.BodyIR(q)
-	case opts.Plans != nil:
+	if opts.Plans != nil {
 		return opts.Plans.Plan(db, q)
-	default:
-		ir, err = planner.Plan(db, q, planner.Options{})
 	}
+	ir, err = planner.Plan(db, q, planner.Options{})
 	return ir, "", err
 }
 
@@ -408,17 +437,22 @@ type expansion struct {
 }
 
 // answerMarginal computes one lineage node's marginal. With evidence it goes
-// through the conditional network backends; otherwise it dispatches across
-// the exact backends — in adaptive mode in the order the planner cost model
-// ranks for this answer's profile, in legacy mode (NoAdaptivePlan) in the
-// fixed historical order — and past every exact budget it approximates, by
-// Karp–Luby on the expanded formula when the expansion succeeded, otherwise
-// by forward sampling on the network, unless NoFallback is set, in which
-// case the tractability error surfaces. It only reads the network (pre
-// carries this answer's expansion; lm and opts.Inference.Memo are internally
-// synchronized), so it is safe to run concurrently; the approximate paths
-// seed deterministically from Options.Seed and the node. Cancellation and
-// budget errors from ec surface through confidence.err.
+// through the conditional network backends; otherwise it builds the answer's
+// cost profile (expanded-lineage size; a treewidth estimate computed lazily,
+// only when the profile is not trivially Shannon-first), asks the planner
+// cost model for the backend attempt order, and walks it. Deterministic
+// tractability failures — lineage.ErrBudget from the exact DNF solver,
+// inference.ErrTooWide from the elimination backends — fall through to the
+// next attempt; every other error surfaces immediately. The ranking always
+// ends in sampling — Karp–Luby on the expanded formula when the expansion
+// succeeded, forward sampling on the network otherwise; with NoFallback the
+// last deterministic failure surfaces instead. Attempt outcomes are recorded
+// into opts.PlannerSink (observability only) and into the confidence for the
+// per-query stats. It only reads the network (pre carries this answer's
+// expansion; lm and opts.Inference.Memo are internally synchronized), so it
+// is safe to run concurrently; the approximate paths seed deterministically
+// from Options.Seed and the node. Cancellation and budget errors from ec
+// surface through confidence.err.
 func answerMarginal(ec *core.ExecContext, net *aonet.Network, lin aonet.NodeID, opts Options, evidence map[aonet.NodeID]bool, pre *expansion, lm *lineage.Memo) confidence {
 	if len(evidence) > 0 {
 		// Conditional marginals go through the network backends: variable
@@ -430,100 +464,28 @@ func answerMarginal(ec *core.ExecContext, net *aonet.Network, lin aonet.NodeID, 
 		if !errors.Is(err, inference.ErrTooWide) || opts.NoFallback {
 			return confidence{err: err}
 		}
-		rng := answerRNG(opts, lin)
-		p, err := inference.MonteCarloGivenCtx(ec, net, lin, evidence, opts.samples(), rng)
+		p, err := inference.MonteCarloGivenCtx(ec, net, lin, evidence, opts.samples(), opts.jobRNG(int64(lin)))
 		if err != nil {
 			return confidence{err: err}
 		}
 		return confidence{p: p, approx: true, backend: "rejection-sampling",
 			reason: "conditional exact inference exceeded the width cap; rejection sampling"}
 	}
-	if opts.NoAdaptivePlan {
-		return answerMarginalFixed(ec, net, lin, opts, pre, lm)
-	}
-	return answerMarginalRanked(ec, net, lin, opts, pre, lm)
-}
-
-// answerRNG derives the per-answer sampling RNG from the evaluation seed and
-// the answer's lineage node, so approximate paths are reproducible at any
-// Parallelism.
-func answerRNG(opts Options, lin aonet.NodeID) *rand.Rand {
-	return rand.New(rand.NewSource(opts.Seed ^ (int64(lin)+1)*0x7f4a7c15))
-}
-
-// answerMarginalFixed is the legacy dispatch, preserved verbatim for the
-// NoAdaptivePlan ablation: (1) the Shannon solver on the pre-expanded
-// partial-lineage DNF (Section 4.2's "run any general-purpose inference
-// algorithm" on the partial lineage); (2) variable elimination with cutset
-// conditioning; (3) sampling.
-func answerMarginalFixed(ec *core.ExecContext, net *aonet.Network, lin aonet.NodeID, opts Options, pre *expansion, lm *lineage.Memo) confidence {
-	var expanded *lineage.DNF
-	var expandedProbs []float64
-	if pre != nil {
-		f, probs, err := pre.f, pre.probs, pre.err
-		switch {
-		case err == nil:
-			p, err := lineage.ProbMemoCtx(ec, f, func(v lineage.Var) float64 { return probs[v] }, opts.exactBudget(), lm)
-			if err == nil {
-				return confidence{p: p, backend: "expand+shannon"}
-			}
-			if !errors.Is(err, lineage.ErrBudget) {
-				return confidence{err: err}
-			}
-			expanded, expandedProbs = f, probs
-		case !errors.Is(err, inference.ErrExpansion):
-			return confidence{err: err}
-		}
-	}
-	r, err := inference.ExactCtx(ec, net, lin, opts.Inference)
-	if err == nil {
-		return confidence{p: r.P, width: r.Width, vars: r.Vars, backend: "ve"}
-	}
-	if !errors.Is(err, inference.ErrTooWide) || opts.NoFallback {
-		return confidence{err: err}
-	}
-	rng := answerRNG(opts, lin)
-	if expanded != nil {
-		p, err := lineage.KarpLubyCtx(ec, expanded, func(v lineage.Var) float64 { return expandedProbs[v] }, opts.klSamples(len(expanded.Clauses)), rng)
-		if err != nil {
-			return confidence{err: err}
-		}
-		return confidence{p: p, approx: true, backend: "karp-luby",
-			reason: "Shannon budget exhausted and variable elimination exceeded the width cap; Karp–Luby sampling on the expanded lineage"}
-	}
-	p, err := inference.MonteCarloCtx(ec, net, lin, opts.samples(), rng)
-	if err != nil {
-		return confidence{err: err}
-	}
-	return confidence{p: p, approx: true, backend: "forward-sampling",
-		reason: "exact inference exceeded the width cap on an unexpandable network; forward sampling"}
-}
-
-// answerMarginalRanked is the adaptive dispatch: it builds the answer's cost
-// profile (expanded-lineage size; a treewidth estimate computed lazily, only
-// when the profile is not trivially Shannon-first), asks the planner cost
-// model for the backend attempt order, and walks it. Deterministic
-// tractability failures — lineage.ErrBudget from the Shannon solver,
-// inference.ErrTooWide from the elimination backends — fall through to the
-// next attempt; every other error surfaces immediately. The ranking always
-// ends in sampling; with NoFallback the last deterministic failure surfaces
-// instead. Attempt outcomes are recorded into opts.PlannerSink
-// (observability only) and into the confidence for the per-query stats.
-func answerMarginalRanked(ec *core.ExecContext, net *aonet.Network, lin aonet.NodeID, opts Options, pre *expansion, lm *lineage.Memo) confidence {
 	model := planner.DefaultCostModel()
 	if opts.Inference.MaxFactorVars > 0 {
 		model.MaxFactorVars = opts.Inference.MaxFactorVars
 	}
 	prof := planner.Profile{SharedMemo: opts.Inference.Memo != nil, Circuits: opts.circuitCache() != nil}
 	var expanded *lineage.DNF
-	var expandedProbs []float64
+	var probOf func(lineage.Var) float64
 	if pre != nil {
 		switch {
 		case pre.err == nil:
-			expanded, expandedProbs = pre.f, pre.probs
+			expanded = pre.f
+			probOf = func(v lineage.Var) float64 { return pre.probs[v] }
 			prof.Expanded = true
 			prof.Clauses = len(expanded.Clauses)
-			prof.Vars = len(expandedProbs)
+			prof.Vars = len(pre.probs)
 		case !errors.Is(pre.err, inference.ErrExpansion):
 			return confidence{err: pre.err}
 		}
@@ -551,46 +513,26 @@ func answerMarginalRanked(ec *core.ExecContext, net *aonet.Network, lin aonet.No
 	}
 	for _, b := range model.Rank(prof) {
 		start := time.Now()
+		var c confidence
+		var err error
+		// tractability is the deterministic failure that sends the answer
+		// on to the next ranked backend.
+		tractability := inference.ErrTooWide
 		switch b {
-		case planner.BackendShannon:
-			p, err := lineage.ProbMemoCtx(ec, expanded, func(v lineage.Var) float64 { return expandedProbs[v] }, opts.exactBudget(), lm)
-			if err == nil {
-				return win(b, start, confidence{p: p, backend: b.String()})
+		case planner.BackendShannon, planner.BackendCircuit:
+			// One slot: Rank names it BackendCircuit exactly when a circuit
+			// cache is attached (Profile.Circuits above), which is when
+			// solveExact evaluates the compiled circuit.
+			c.p, _, err = opts.solveExact(ec, expanded, probOf, lm)
+			tractability = lineage.ErrBudget
+		case planner.BackendJTree, planner.BackendVE:
+			solve := inference.ExactCtx
+			if b == planner.BackendJTree {
+				solve = inference.ExactJTCtx
 			}
-			if !errors.Is(err, lineage.ErrBudget) {
-				return confidence{err: err}
-			}
-			fail(b, start, err)
-		case planner.BackendCircuit:
-			// The compiled-circuit evaluator in Shannon's ranking slot:
-			// same budget, same floats (the compiler replays the Shannon
-			// recursion), ErrBudget falls through identically.
-			p, err := lineage.CircuitProbCtx(ec, expanded, func(v lineage.Var) float64 { return expandedProbs[v] }, opts.exactBudget(), opts.circuitCache(), opts.circuitStats)
-			if err == nil {
-				return win(b, start, confidence{p: p, backend: b.String()})
-			}
-			if !errors.Is(err, lineage.ErrBudget) {
-				return confidence{err: err}
-			}
-			fail(b, start, err)
-		case planner.BackendJTree:
-			r, err := inference.ExactJTCtx(ec, net, lin, opts.Inference)
-			if err == nil {
-				return win(b, start, confidence{p: r.P, width: r.Width, vars: r.Vars, backend: b.String()})
-			}
-			if !errors.Is(err, inference.ErrTooWide) {
-				return confidence{err: err}
-			}
-			fail(b, start, err)
-		case planner.BackendVE:
-			r, err := inference.ExactCtx(ec, net, lin, opts.Inference)
-			if err == nil {
-				return win(b, start, confidence{p: r.P, width: r.Width, vars: r.Vars, backend: b.String()})
-			}
-			if !errors.Is(err, inference.ErrTooWide) {
-				return confidence{err: err}
-			}
-			fail(b, start, err)
+			var r inference.Result
+			r, err = solve(ec, net, lin, opts.Inference)
+			c = confidence{p: r.P, width: r.Width, vars: r.Vars}
 		case planner.BackendSample:
 			// Every ranking puts at least one exact backend first, so
 			// reaching the sampling slot means lastErr is a tractability
@@ -598,24 +540,28 @@ func answerMarginalRanked(ec *core.ExecContext, net *aonet.Network, lin aonet.No
 			if opts.NoFallback {
 				return confidence{err: lastErr}
 			}
-			rng := answerRNG(opts, lin)
+			backend, how := "forward-sampling", "forward sampling on the network"
 			if expanded != nil {
-				p, err := lineage.KarpLubyCtx(ec, expanded, func(v lineage.Var) float64 { return expandedProbs[v] }, opts.klSamples(len(expanded.Clauses)), rng)
-				if err != nil {
-					return confidence{err: err}
-				}
-				opts.PlannerSink.Record("karp-luby", true, time.Since(start))
-				return confidence{p: p, approx: true, backend: "karp-luby", fallbacks: fallbacks, predictMiss: true,
-					reason: fmt.Sprintf("exact backends exhausted (%s); Karp–Luby sampling on the expanded lineage", strings.Join(fallbacks, ", "))}
+				backend, how = "karp-luby", "Karp–Luby sampling on the expanded lineage"
+				c.p, err = opts.karpLuby(ec, expanded, probOf, int64(lin))
+			} else {
+				c.p, err = inference.MonteCarloCtx(ec, net, lin, opts.samples(), opts.jobRNG(int64(lin)))
 			}
-			p, err := inference.MonteCarloCtx(ec, net, lin, opts.samples(), rng)
 			if err != nil {
 				return confidence{err: err}
 			}
-			opts.PlannerSink.Record("forward-sampling", true, time.Since(start))
-			return confidence{p: p, approx: true, backend: "forward-sampling", fallbacks: fallbacks, predictMiss: true,
-				reason: fmt.Sprintf("exact backends exhausted (%s); forward sampling on the network", strings.Join(fallbacks, ", "))}
+			opts.PlannerSink.Record(backend, true, time.Since(start))
+			return confidence{p: c.p, approx: true, backend: backend, fallbacks: fallbacks, predictMiss: true,
+				reason: fmt.Sprintf("exact backends exhausted (%s); %s", strings.Join(fallbacks, ", "), how)}
 		}
+		if err == nil {
+			c.backend = b.String()
+			return win(b, start, c)
+		}
+		if !errors.Is(err, tractability) {
+			return confidence{err: err}
+		}
+		fail(b, start, err)
 	}
 	return confidence{err: lastErr}
 }

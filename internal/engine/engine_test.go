@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -394,6 +395,45 @@ func TestMonteCarloStrategyConverges(t *testing.T) {
 	}
 }
 
+// TestKarpLubySampleCount: the (ε, δ) sample count is ⌈4·m·ln(2/δ)/ε²⌉ when
+// that fits an int, and a SampleCountError naming the pair and the clause
+// count when it does not — never a wrapped-around int. The last case runs it
+// through an evaluation: a valid pair the answer's lineage cannot honour.
+func TestKarpLubySampleCount(t *testing.T) {
+	cases := []struct {
+		eps, delta float64
+		clauses    int
+		want       int // 0 = SampleCountError
+	}{
+		{0, 0, 16, 100000}, // unset pair: Options.Samples' default
+		{0.1, 0.05, 1, 1476},
+		{0.05, 0.01, 16, 135637},
+		{1e-9, 0.5, 1, 5545177444479561728},
+		{1e-9, 0.5, 16, 0},
+		{1e-300, 0.5, 1, 0}, // ε² underflows to 0: +Inf
+	}
+	for _, tc := range cases {
+		got, err := Options{Epsilon: tc.eps, Delta: tc.delta}.klSamples(tc.clauses)
+		if tc.want != 0 {
+			if err != nil || got != tc.want {
+				t.Errorf("ε=%v δ=%v m=%d: got %d, %v; want %d", tc.eps, tc.delta, tc.clauses, got, err, tc.want)
+			}
+			continue
+		}
+		var sce *SampleCountError
+		if !errors.As(err, &sce) || sce.Epsilon != tc.eps || sce.Delta != tc.delta || sce.Clauses != tc.clauses {
+			t.Errorf("ε=%v δ=%v m=%d: got %d, %v; want a SampleCountError naming all three", tc.eps, tc.delta, tc.clauses, got, err)
+		}
+	}
+
+	db, q, plan := traceDB(t)
+	_, err := Evaluate(db, q, plan, Options{Strategy: core.MonteCarlo, Epsilon: 1e-9, Delta: 0.5})
+	var sce *SampleCountError
+	if !errors.As(err, &sce) || sce.Clauses < 16 {
+		t.Errorf("unrepresentable sample count: err = %v, want a SampleCountError with the clause count", err)
+	}
+}
+
 func TestEvaluateQueryPicksSafePlan(t *testing.T) {
 	db := relation.NewDatabase()
 	r := relation.New("R", "a", "b")
@@ -416,7 +456,7 @@ func TestEvaluateQueryPicksSafePlan(t *testing.T) {
 	if math.Abs(res.BoolProb()-want[""]) > 1e-9 {
 		t.Errorf("got %.12f, want %.12f", res.BoolProb(), want[""])
 	}
-	// Unsafe query: falls back to the left-deep plan in body order.
+	// Unsafe query: the planner picks a left-deep join order.
 	q2 := query.MustParse("q :- R(x, y), S(y, z)")
 	res2, err := EvaluateQuery(db, q2, Options{Strategy: core.PartialLineage})
 	if err != nil {

@@ -110,13 +110,13 @@ func evalNetwork(ec *core.ExecContext, db *relation.Database, q *query.Query, pl
 		// bit-identical either way, only the work repeats. They only pay
 		// for themselves across answers — with a single inference job the
 		// solver's per-call memo already catches every repeat — and the
-		// lineage table is read only by the Shannon backend, which the
-		// ranked dispatch replaces with the compiled circuit whenever a
-		// circuit cache is attached.
+		// lineage table is read only by the Shannon solver, which
+		// solveExact replaces with the compiled circuit whenever a circuit
+		// cache is attached.
 		if !opts.NoMemo && len(distinct) >= 2 {
 			opts.Inference.Memo = inference.NewMemo()
-			if opts.circuitCache() == nil || opts.NoAdaptivePlan {
-				lm = lineage.NewMemo(lineage.MemoConfig{NoIntern: opts.NoIntern})
+			if opts.circuitCache() == nil {
+				lm = lineage.NewMemo(lineage.MemoConfig{})
 			}
 		}
 		return len(distinct), nil
@@ -168,7 +168,6 @@ func evalNetwork(ec *core.ExecContext, db *relation.Database, q *query.Query, pl
 	res.Stats.MemoHits = ms.Hits + veHits
 	res.Stats.MemoMisses = ms.Misses + veMisses
 	res.Stats.MemoEvictions = ms.Evictions + veEvictions
-	res.Stats.InternHits = ms.InternHits
 	res.Stats.CircuitCompiles, res.Stats.CircuitHits, res.Stats.CircuitEvals = opts.circuitStats.Snapshot()
 	return res, nil
 }

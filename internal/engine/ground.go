@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/lineage"
@@ -251,6 +250,31 @@ func (g *grounder) varFor(pred string, row int, p float64) lineage.Var {
 	return v
 }
 
+// dnfConfidence is the per-answer job of everything that solves grounded
+// lineage — evalLineage and materialized views: Karp–Luby under MonteCarlo,
+// solveExact otherwise, and Karp–Luby again, on the same per-job seed, when
+// the exact budget runs out and NoFallback is unset.
+func (o Options) dnfConfidence(ec *core.ExecContext, f *lineage.DNF, probOf func(lineage.Var) float64, job int64, lm *lineage.Memo) confidence {
+	sample := func(reason string) confidence {
+		p, err := o.karpLuby(ec, f, probOf, job)
+		if err != nil {
+			return confidence{err: err}
+		}
+		return confidence{p: p, approx: true, backend: "karp-luby", reason: reason}
+	}
+	if o.Strategy == core.MonteCarlo {
+		return sample("Karp–Luby sampling requested (mc strategy)")
+	}
+	p, backend, err := o.solveExact(ec, f, probOf, lm)
+	if errors.Is(err, lineage.ErrBudget) && !o.NoFallback {
+		return sample("exact Shannon-expansion budget exhausted on the DNF lineage; Karp–Luby sampling")
+	}
+	if err != nil {
+		return confidence{err: err}
+	}
+	return confidence{p: p, backend: backend}
+}
+
 // evalLineage implements the DNFLineage and MonteCarlo strategies through
 // the shared pipeline driver: build = full grounding, one inference job per
 // answer, assemble = row materialization in answer order. Approximate paths
@@ -263,16 +287,8 @@ func evalLineage(ec *core.ExecContext, db *relation.Database, q *query.Query, pl
 	if opts.Strategy == core.MonteCarlo {
 		res.Stats.Approximate = true
 	}
-	// All answers share one variable space (Grounding.Probs), so the exact
-	// solver can share Shannon subproblems across answers through one memo
-	// table; results are bit-identical with and without it. With a circuit
-	// cache attached the compiled-circuit evaluator replaces the memoized
-	// solver outright (also bit-identical — the compiler replays the same
-	// recursion), so the memo table would only duplicate work.
+	// Built by build() once it knows the solver will read it.
 	var lm *lineage.Memo
-	if !opts.NoMemo && opts.Strategy == core.DNFLineage && opts.circuitCache() == nil {
-		lm = lineage.NewMemo(lineage.MemoConfig{NoIntern: opts.NoIntern})
-	}
 	if opts.circuitCache() != nil && opts.Strategy == core.DNFLineage {
 		opts.circuitStats = &lineage.CircuitStats{}
 	}
@@ -293,45 +309,19 @@ func evalLineage(ec *core.ExecContext, db *relation.Database, q *query.Query, pl
 			Rows:   len(g.Answers),
 			Detail: fmt.Sprintf("%d clauses over %d variables", g.ClauseCount(), g.VarCount()),
 		}, false)
-		// A single answer cannot share subproblems across answers; the
-		// solver's per-call memo already covers repeats within it.
-		if len(g.Answers) <= 1 {
-			lm = nil
+		// All answers share one variable space (Grounding.Probs), so the
+		// Shannon solver can share subproblems across answers through one
+		// memo table; results are bit-identical with and without it. A
+		// single answer has nothing to share — the solver's per-call memo
+		// covers repeats within it — and with a circuit cache attached
+		// solveExact never reads the table.
+		if !opts.NoMemo && opts.Strategy == core.DNFLineage && opts.circuitCache() == nil && len(g.Answers) >= 2 {
+			lm = lineage.NewMemo(lineage.MemoConfig{})
 		}
 		return len(g.Answers), nil
 	}
 	infer := func(i int) confidence {
-		probOf := func(v lineage.Var) float64 { return g.Probs[v] }
-		f := g.Answers[i].F
-		sample := func(reason string) confidence {
-			rng := rand.New(rand.NewSource(opts.Seed ^ (int64(i)+1)*0x7f4a7c15))
-			p, err := lineage.KarpLubyCtx(ec, f, probOf, opts.klSamples(len(f.Clauses)), rng)
-			if err != nil {
-				return confidence{err: err}
-			}
-			return confidence{p: p, approx: true, backend: "karp-luby", reason: reason}
-		}
-		if opts.Strategy == core.MonteCarlo {
-			return sample("Karp–Luby sampling requested (mc strategy)")
-		}
-		var (
-			p       float64
-			err     error
-			backend = "shannon"
-		)
-		if cache := opts.circuitCache(); cache != nil {
-			p, err = lineage.CircuitProbCtx(ec, f, probOf, opts.exactBudget(), cache, opts.circuitStats)
-			backend = "circuit"
-		} else {
-			p, err = lineage.ProbMemoCtx(ec, f, probOf, opts.exactBudget(), lm)
-		}
-		if errors.Is(err, lineage.ErrBudget) && !opts.NoFallback {
-			return sample("exact Shannon-expansion budget exhausted on the DNF lineage; Karp–Luby sampling")
-		}
-		if err != nil {
-			return confidence{err: err}
-		}
-		return confidence{p: p, backend: backend}
+		return opts.dnfConfidence(ec, g.Answers[i].F, func(v lineage.Var) float64 { return g.Probs[v] }, int64(i), lm)
 	}
 	assemble := func(conf []confidence) error {
 		recordInference(ec, res.Stats.InferenceTime, conf, func(i int) string {
@@ -357,7 +347,6 @@ func evalLineage(ec *core.ExecContext, db *relation.Database, q *query.Query, pl
 	res.Stats.MemoHits = ms.Hits
 	res.Stats.MemoMisses = ms.Misses
 	res.Stats.MemoEvictions = ms.Evictions
-	res.Stats.InternHits = ms.InternHits
 	res.Stats.CircuitCompiles, res.Stats.CircuitHits, res.Stats.CircuitEvals = opts.circuitStats.Snapshot()
 	return res, nil
 }

@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"repro/internal/core"
@@ -36,12 +34,14 @@ type Materialized struct {
 	plan *query.Plan
 	opts Options
 
-	g        *Grounding
-	varOf    map[VarSource]lineage.Var
-	deps     map[lineage.Var][]int // variable -> answer indexes mentioning it
-	conf     []float64             // solved probability per answer
-	memo     *lineage.Memo         // retained across refreshes; Reset on patch
-	circuits *lineage.CircuitCache // compiled answer circuits; Reset on rebuild only
+	g     *Grounding
+	varOf map[VarSource]lineage.Var
+	deps  map[lineage.Var][]int // variable -> answer indexes mentioning it
+	conf  []float64             // solved probability per answer
+	// memo shares Shannon subproblems across answers and is Reset whenever
+	// probabilities change; nil when the view solves through opts.Circuits,
+	// its private circuit cache, which is Reset on rebuild only.
+	memo *lineage.Memo
 
 	// PatchedAnswers and RecomputedAll count what refreshes did, for the
 	// caller's metrics.
@@ -68,7 +68,7 @@ func (p ProbPatch) patchable() bool {
 // Materialize grounds and solves q over db with the given plan, returning a
 // handle that can be patched under prob-updates and recomputed under
 // structural change. Unsupported options (evidence conditioning) are
-// rejected; budget, samples, (ε,δ), seed, memo and intern knobs all apply.
+// rejected; budget, samples, (ε,δ), seed, memo and circuit knobs all apply.
 func Materialize(db *relation.Database, q *query.Query, plan *query.Plan, opts Options) (*Materialized, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -79,18 +79,20 @@ func Materialize(db *relation.Database, q *query.Query, plan *query.Plan, opts O
 	if err := opts.validateEpsDelta(); err != nil {
 		return nil, err
 	}
-	m := &Materialized{q: q, plan: plan, opts: opts}
-	if !opts.NoMemo {
-		m.memo = lineage.NewMemo(lineage.MemoConfig{NoIntern: opts.NoIntern})
-	}
 	// A view always owns a private circuit cache (never the database-shared
-	// one from opts.Circuits): rebuild() must be free to drop compiled
-	// structure on structural change without evicting other queries' entries.
-	// Prob-update refreshes deliberately do NOT reset it — circuit structure
-	// depends only on the clause set, so a patched refresh re-evaluates the
-	// compiled circuits in linear time instead of re-running Shannon.
+	// one the caller's opts.Circuits may name): rebuild() must be free to drop
+	// compiled structure on structural change without evicting other queries'
+	// entries. Prob-update refreshes deliberately do NOT reset it — circuit
+	// structure depends only on the clause set, so a patched refresh
+	// re-evaluates the compiled circuits in linear time instead of re-running
+	// Shannon. Without one, the Shannon memo is what refreshes share.
+	opts.Circuits = nil
 	if !opts.NoCircuit {
-		m.circuits = lineage.NewCircuitCache(lineage.CircuitCacheConfig{})
+		opts.Circuits = lineage.NewCircuitCache(lineage.CircuitCacheConfig{})
+	}
+	m := &Materialized{q: q, plan: plan, opts: opts}
+	if !opts.NoMemo && opts.Circuits == nil {
+		m.memo = lineage.NewMemo(lineage.MemoConfig{})
 	}
 	if err := m.rebuild(db); err != nil {
 		return nil, err
@@ -129,7 +131,7 @@ func (m *Materialized) rebuild(db *relation.Database) error {
 	// Structural change: the clause sets (and hence the circuit-cache keys)
 	// may have changed, so compiled structure is dropped wholesale. Contrast
 	// PatchProbs, which keeps it — values are re-derived by Eval.
-	m.circuits.Reset()
+	m.opts.Circuits.Reset()
 	m.conf = make([]float64, len(g.Answers))
 	for i := range g.Answers {
 		p, err := m.solve(ec, i)
@@ -147,47 +149,17 @@ func (m *Materialized) execContext() *core.ExecContext {
 	return core.NewExecContext(nil, core.ExecConfig{
 		Budget:      m.opts.Budget,
 		Parallelism: m.opts.Parallelism,
-		Pooling:     !m.opts.NoPool,
+		Pooling:     true,
 	})
 }
 
-// solve computes answer i's confidence from the current probability table,
-// replicating evalLineage's per-answer dispatch exactly: Karp–Luby with the
-// engine's per-answer seed derivation for MonteCarlo, the memoized Shannon
-// solver otherwise. NoFallback semantics apply: a Shannon budget exhaustion
-// falls back to sampling with the same seed an evalLineage run would use.
+// solve computes answer i's confidence from the current probability table
+// through evalLineage's per-answer job. evalLineage skips the shared memo on
+// single-answer groundings; values are bit-identical either way, so a view
+// threads its memo unconditionally — sharing across refreshes is the point.
 func (m *Materialized) solve(ec *core.ExecContext, i int) (float64, error) {
-	f := m.g.Answers[i].F
-	probOf := func(v lineage.Var) float64 { return m.g.Probs[v] }
-	sample := func() (float64, error) {
-		rng := rand.New(rand.NewSource(m.opts.Seed ^ (int64(i)+1)*0x7f4a7c15))
-		return lineage.KarpLubyCtx(ec, f, probOf, m.opts.klSamples(len(f.Clauses)), rng)
-	}
-	if m.opts.Strategy == core.MonteCarlo {
-		return sample()
-	}
-	// Single-answer groundings skip the shared memo in evalLineage; values
-	// are bit-identical either way, so the memo is threaded unconditionally
-	// here — sharing across refreshes is the point. With the circuit cache
-	// enabled the compiled-circuit evaluator takes the solver's place
-	// (bit-identical floats), turning every refresh re-solve after the first
-	// into a linear evaluation pass.
-	var (
-		p   float64
-		err error
-	)
-	if m.circuits != nil {
-		p, err = lineage.CircuitProbCtx(ec, f, probOf, m.opts.exactBudget(), m.circuits, nil)
-	} else {
-		p, err = lineage.ProbMemoCtx(ec, f, probOf, m.opts.exactBudget(), m.memo)
-	}
-	if err == nil {
-		return p, nil
-	}
-	if errors.Is(err, lineage.ErrBudget) && !m.opts.NoFallback {
-		return sample()
-	}
-	return 0, err
+	c := m.opts.dnfConfidence(ec, m.g.Answers[i].F, func(v lineage.Var) float64 { return m.g.Probs[v] }, int64(i), m.memo)
+	return c.p, c.err
 }
 
 // PatchProbs applies a batch of prob-update deltas in place. It returns
@@ -242,8 +214,7 @@ func (m *Materialized) PatchProbs(patches []ProbPatch) (bool, error) {
 		return true, nil
 	}
 	// Memoized Shannon values are functions of (clause fingerprint,
-	// probability table); the table changed, so drop the values but keep the
-	// interned fingerprints and replay the solves through them.
+	// probability table); the table changed, so drop them.
 	m.memo.Reset()
 	order := make([]int, 0, len(dirty))
 	for ai := range dirty {
@@ -293,7 +264,7 @@ func (m *Materialized) Result() *Result {
 // that re-evaluated compiled structure. The zero value is returned when the
 // view was materialized with NoCircuit.
 func (m *Materialized) CircuitStats() lineage.CircuitCacheStats {
-	return m.circuits.Stats()
+	return m.opts.Circuits.Stats()
 }
 
 // Relations returns the distinct relation names the materialized query

@@ -219,6 +219,11 @@ func TestMaterializeCircuitRetention(t *testing.T) {
 	if st := off.CircuitStats(); st != (lineage.CircuitCacheStats{}) {
 		t.Errorf("NoCircuit view reports circuit activity: %+v", st)
 	}
+	// A view carries the one table its solves read: the Shannon memo only
+	// when there is no circuit cache to solve through.
+	if m.memo != nil || off.memo == nil {
+		t.Errorf("memo built for the circuit view: %v, for the NoCircuit view: %v; want false, true", m.memo != nil, off.memo != nil)
+	}
 }
 
 // TestMaterializeMatchesEvaluate: the materialized exact result agrees with

@@ -21,7 +21,7 @@ import (
 // CacheOptions selects which cache levels the benchmark exercises
 // (pdbbench's -memo and -cache flags).
 type CacheOptions struct {
-	// Memo runs the memo/interning/pooling on-vs-off wall-clock comparison.
+	// Memo runs the shared-memo on-vs-off wall-clock comparison.
 	Memo bool
 	// Cache runs the server cold-vs-warm result-cache comparison.
 	Cache bool

@@ -115,7 +115,7 @@ func TestCompileCounts(t *testing.T) {
 
 // TestPlannerCounts: offending counts are deterministic properties of the
 // chosen plans, and the adaptive plan must never condition more tuples than
-// the legacy one.
+// the fixed safe-else-body-order plan.
 func TestPlannerCounts(t *testing.T) {
 	var committed PlannerReport
 	loadCommitted(t, "BENCH_planner.json", &committed)
@@ -136,9 +136,9 @@ func TestPlannerCounts(t *testing.T) {
 			t.Errorf("planner %s: missing or failed in rerun (%+v)", want.Query, pt)
 			continue
 		}
-		if pt.AdaptiveOffending > pt.LegacyOffending {
-			t.Errorf("planner %s: adaptive plan conditions %d tuples, legacy %d — the planner made the query worse",
-				want.Query, pt.AdaptiveOffending, pt.LegacyOffending)
+		if pt.AdaptiveOffending > pt.FixedOffending {
+			t.Errorf("planner %s: adaptive plan conditions %d tuples, the fixed plan %d — the planner made the query worse",
+				want.Query, pt.AdaptiveOffending, pt.FixedOffending)
 		}
 	}
 }

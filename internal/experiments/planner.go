@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"runtime"
@@ -16,18 +17,20 @@ import (
 	"repro/internal/tuple"
 )
 
-// PlannerPoint compares one workload evaluated with the cost-aware planner
-// (the default) against -no-adaptive-plan (safe plan else body order, fixed
-// backend try-order). Both modes compute the same answers; the planner's
-// lever is the offending-tuple count — a join order that avoids conditioning
-// turns an exponential Shannon expansion into an extensional evaluation.
+// PlannerPoint compares one workload evaluated with the plan the cost-aware
+// planner chooses against the plan a caller would write without it: the safe
+// plan when one exists, else the left-deep plan in body order
+// (query.FixedPlan). Inference is the same ranked dispatch on both sides, and
+// both compute the same answers; the planner's lever is the offending-tuple
+// count — a join order that avoids conditioning turns an exponential Shannon
+// expansion into an extensional evaluation.
 type PlannerPoint struct {
 	Query             string  `json:"query"`
-	LegacyNs          int64   `json:"legacy_ns"`
+	FixedNs           int64   `json:"fixed_ns"`
 	AdaptiveNs        int64   `json:"adaptive_ns"`
 	AdaptiveColdNs    int64   `json:"adaptive_cold_ns"` // first adaptive run: the planning cache is empty
 	Speedup           float64 `json:"speedup"`
-	LegacyOffending   int     `json:"legacy_offending"`
+	FixedOffending    int     `json:"fixed_offending"`
 	AdaptiveOffending int     `json:"adaptive_offending"`
 	PlanSource        string  `json:"plan_source"`
 	PlanOrder         string  `json:"plan_order,omitempty"`
@@ -93,11 +96,11 @@ func plannerWorkloads(sc Scale) []plannerWorkload {
 	fd := fdDirectionDB(sc.PlannerXs, 12)
 	return []plannerWorkload{
 		// Body order C, B, A: C⋈B joins against the violated FD direction,
-		// so the legacy body-order plan conditions one tuple per x sharing
+		// so the body-order plan conditions one tuple per x sharing
 		// the joined y — Shannon expansion exponential in that count. The
 		// planner's estimator sees the violation and flips to A-first.
 		{"fd-adversarial-order", fd, query.MustParse("q :- C(y), B(x, y), A(x)")},
-		// Same instance, body already safe: both modes evaluate the same
+		// Same instance, body already safe: both sides evaluate the same
 		// physical plan, so this point isolates the planner's own overhead
 		// (the one-pass selectivity profiling) — expect a ratio below 1 on a
 		// sub-millisecond query, converging to 1 as evaluation grows.
@@ -110,56 +113,62 @@ func plannerWorkloads(sc Scale) []plannerWorkload {
 	}
 }
 
-// PlannerBench measures the adaptive planner against the legacy pipeline on
-// the mixed workload: best-of-three interleaved wall clocks per mode, the
+// PlannerBench measures the planner's plan against the fixed plan on the
+// mixed workload: best-of-three interleaved wall clocks per side, the
 // measured offending-tuple counts both ways, and the backend calibration
 // accumulated by the adaptive runs' sink. The adaptive runs plan through a
 // planning cache per workload, as every pdb.Database does: the first of the
 // three pays the statistics passes (reported as AdaptiveColdNs), the other
-// two plan in a lookup, so AdaptiveNs is what a repeated query costs.
+// two plan in a lookup, so AdaptiveNs is what a repeated query costs. The
+// fixed runs are handed their plan, built once outside the timed region.
 func PlannerBench(sc Scale) (*PlannerReport, error) {
 	sink := planner.NewSink()
 	rep := &PlannerReport{}
 	for _, wl := range plannerWorkloads(sc) {
 		pt := PlannerPoint{Query: wl.name}
+		plan, err := query.FixedPlan(wl.q)
+		if err != nil {
+			return nil, err
+		}
 		// The workload's database never changes: one version forever.
 		plans := planner.NewCache(func(string) int64 { return 1 })
-		run := func(noAdaptive bool) (time.Duration, *engine.Result, error) {
+		run := func(adaptive bool) (time.Duration, *engine.Result, error) {
 			opts := engine.Options{
-				Strategy:       core.PartialLineage,
-				Parallelism:    sc.Parallelism,
-				Seed:           1,
-				NoAdaptivePlan: noAdaptive,
-			}
-			if !noAdaptive {
-				opts.PlannerSink = sink
-				opts.Plans = plans
+				Strategy:    core.PartialLineage,
+				Parallelism: sc.Parallelism,
+				Seed:        1,
 			}
 			opts.Inference.MaxFactorVars = sc.MaxWidth
 			opts.Budget.Time = sc.Timeout
-			// Collect first: the two modes alternate, and without this the
+			// Collect first: the two sides alternate, and without this the
 			// second of each pair pays for the first one's garbage (it made
 			// the adaptive side of fd-good-order read twice its cost).
 			runtime.GC()
 			start := time.Now()
+			if !adaptive {
+				res, err := engine.EvaluateContext(context.Background(), wl.db, wl.q, plan, opts)
+				return time.Since(start), res, err
+			}
+			opts.PlannerSink = sink
+			opts.Plans = plans
 			res, err := engine.EvaluateQuery(wl.db, wl.q, opts)
 			return time.Since(start), res, err
 		}
-		var legacyBest, adaptiveBest time.Duration
-		var legacyRes, adaptiveRes *engine.Result
+		var fixedBest, adaptiveBest time.Duration
+		var fixedRes, adaptiveRes *engine.Result
 		for i := 0; i < 3; i++ {
-			legacy, lres, err := run(true)
+			fixed, fres, err := run(false)
 			if err != nil {
 				pt.Err = err.Error()
 				break
 			}
-			adaptive, ares, err := run(false)
+			adaptive, ares, err := run(true)
 			if err != nil {
 				pt.Err = err.Error()
 				break
 			}
-			if i == 0 || legacy < legacyBest {
-				legacyBest, legacyRes = legacy, lres
+			if i == 0 || fixed < fixedBest {
+				fixedBest, fixedRes = fixed, fres
 			}
 			if i == 0 {
 				pt.AdaptiveColdNs = adaptive.Nanoseconds()
@@ -169,11 +178,11 @@ func PlannerBench(sc Scale) (*PlannerReport, error) {
 			}
 		}
 		if pt.Err == "" {
-			pt.LegacyNs, pt.AdaptiveNs = legacyBest.Nanoseconds(), adaptiveBest.Nanoseconds()
+			pt.FixedNs, pt.AdaptiveNs = fixedBest.Nanoseconds(), adaptiveBest.Nanoseconds()
 			if adaptiveBest > 0 {
-				pt.Speedup = float64(legacyBest) / float64(adaptiveBest)
+				pt.Speedup = float64(fixedBest) / float64(adaptiveBest)
 			}
-			pt.LegacyOffending = legacyRes.Stats.OffendingTuples
+			pt.FixedOffending = fixedRes.Stats.OffendingTuples
 			pt.AdaptiveOffending = adaptiveRes.Stats.OffendingTuples
 			pt.PlanSource = adaptiveRes.Stats.PlanSource
 			pt.PlanOrder = adaptiveRes.Stats.PlanOrder

@@ -11,7 +11,7 @@ import "testing"
 // overhead and sits below 1). Skips when the artifact is absent.
 //
 // A wall-clock ratio gate: built only with -tags perfsmoke. The planner's
-// qualitative win, fewer offending tuples than the legacy plan on every
+// qualitative win, fewer offending tuples than the fixed plan on every
 // workload, is a count: TestPlannerCounts, which always runs.
 func TestPlannerPerfSmoke(t *testing.T) {
 	var committed PlannerReport

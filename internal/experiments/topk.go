@@ -123,11 +123,7 @@ func TopkBench(sc Scale) (*TopkReport, error) {
 	rep := &TopkReport{}
 	for _, wl := range topkWorkloads(sc) {
 		pt := TopkPoint{Workload: wl.name, K: wl.k}
-		order := make([]string, len(wl.q.Atoms))
-		for i := range wl.q.Atoms {
-			order[i] = wl.q.Atoms[i].Pred
-		}
-		plan, err := query.LeftDeepPlan(wl.q, order)
+		plan, err := query.LeftDeepPlan(wl.q, query.BodyOrder(wl.q))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: topk %s: %w", wl.name, err)
 		}

@@ -123,9 +123,9 @@ const memoLimit = 1 << 20
 
 // sharedMemoMinClauses gates participation in the cross-answer shared memo:
 // subproblems below the floor cost more to fingerprint-hash and round-trip
-// through the table's mutex, interner and LRU than to re-solve from the
-// per-call memo, so only sizable cofactors — the ones whose reuse saves a
-// whole recursion subtree — are shared across answers.
+// through the table's mutex and LRU than to re-solve from the per-call memo,
+// so only sizable cofactors — the ones whose reuse saves a whole recursion
+// subtree — are shared across answers.
 const sharedMemoMinClauses = 16
 
 func (s *solver) prob(clauses []Clause) float64 {
@@ -156,9 +156,9 @@ func (s *solver) prob(clauses []Clause) float64 {
 		return v
 	}
 	// Small subproblems are cheaper to recompute than to round-trip through
-	// the shared table's mutex, LRU and interner; only sizable cofactors are
-	// worth sharing across answers. The gate changes which subproblems
-	// consult the table, never a value.
+	// the shared table's mutex and LRU; only sizable cofactors are worth
+	// sharing across answers. The gate changes which subproblems consult the
+	// table, never a value.
 	useShared := s.shared != nil && len(sorted) >= sharedMemoMinClauses
 	if useShared {
 		if v, ok := s.shared.Lookup(key); ok {

@@ -35,18 +35,7 @@ type Memo struct {
 	maxEntries int
 	maxBytes   int64
 
-	// intern is the per-evaluation node table of canonical fingerprints:
-	// the first occurrence of a fingerprint stores its string once, and
-	// every later occurrence — across answers, across eviction/re-insert
-	// cycles — reuses that single backing instance, so identical
-	// subformulas share one canonical representation. Disabled by
-	// MemoConfig.NoIntern (keys then stay per-call strings; lookup results
-	// are provably identical either way, only the representation shares).
-	intern    map[string]string
-	internCap int
-	noIntern  bool
-
-	hits, misses, evictions, internHits int64
+	hits, misses, evictions int64
 }
 
 type memoEntry struct {
@@ -65,9 +54,6 @@ type MemoConfig struct {
 	MaxEntries int
 	// MaxBytes caps the approximate memory footprint (default 16 MiB).
 	MaxBytes int64
-	// NoIntern disables fingerprint interning (the per-evaluation node
-	// table); entries then key on per-call strings.
-	NoIntern bool
 }
 
 // NewMemo builds an empty memo table with the given bounds.
@@ -82,9 +68,6 @@ func NewMemo(cfg MemoConfig) *Memo {
 		table:      make(map[string]*memoEntry),
 		maxEntries: cfg.MaxEntries,
 		maxBytes:   cfg.MaxBytes,
-		intern:     make(map[string]string),
-		internCap:  4 * cfg.MaxEntries,
-		noIntern:   cfg.NoIntern,
 	}
 }
 
@@ -123,7 +106,6 @@ func (m *Memo) Store(ec *core.ExecContext, key string, v float64) {
 	if !ec.TryChargeNodes(1) {
 		return
 	}
-	key = m.internKey(key)
 	e := &memoEntry{key: key, val: v}
 	m.table[key] = e
 	m.pushFront(e)
@@ -133,27 +115,10 @@ func (m *Memo) Store(ec *core.ExecContext, key string, v float64) {
 	}
 }
 
-// internKey canonicalizes key through the per-evaluation fingerprint table.
-func (m *Memo) internKey(key string) string {
-	if m.noIntern {
-		return key
-	}
-	if s, ok := m.intern[key]; ok {
-		m.internHits++
-		return s
-	}
-	if len(m.intern) < m.internCap {
-		m.intern[key] = key
-	}
-	return key
-}
-
-// Reset drops every memoized value while keeping the interned fingerprint
-// table. Memoized values are pure functions of (key, probability table); when
-// the probability table changes — a prob-update patch replayed through an
-// incremental refresh — the values are stale but the canonical keys are not,
-// so the refresh re-solves through the same interned fingerprints instead of
-// re-allocating them. Counters keep accumulating across resets.
+// Reset drops every memoized value. Memoized values are pure functions of
+// (key, probability table), so they are stale once the probability table
+// changes — a prob-update patch replayed through an incremental refresh.
+// Counters keep accumulating across resets.
 func (m *Memo) Reset() {
 	if m == nil {
 		return
@@ -167,9 +132,9 @@ func (m *Memo) Reset() {
 
 // MemoStats is a point-in-time snapshot of a Memo's counters.
 type MemoStats struct {
-	Hits, Misses, Evictions, InternHits int64
-	Entries                             int
-	Bytes                               int64
+	Hits, Misses, Evictions int64
+	Entries                 int
+	Bytes                   int64
 }
 
 // Stats snapshots the counters (zero on a nil receiver).
@@ -180,12 +145,11 @@ func (m *Memo) Stats() MemoStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return MemoStats{
-		Hits:       m.hits,
-		Misses:     m.misses,
-		Evictions:  m.evictions,
-		InternHits: m.internHits,
-		Entries:    len(m.table),
-		Bytes:      m.bytes,
+		Hits:      m.hits,
+		Misses:    m.misses,
+		Evictions: m.evictions,
+		Entries:   len(m.table),
+		Bytes:     m.bytes,
 	}
 }
 

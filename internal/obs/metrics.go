@@ -89,10 +89,10 @@ type Registry struct {
 	circuitHits     uint64
 	circuitEvals    uint64
 
-	// Adaptive-planner counters: plan choices by source ("safe", "greedy",
-	// "body"), per-answer inference-backend choices and deterministic
-	// fallthroughs by backend label, and answers whose first-ranked backend
-	// was not the one that succeeded.
+	// Adaptive-planner counters: plan choices by source ("safe", "greedy"),
+	// per-answer inference-backend choices and deterministic fallthroughs by
+	// backend label, and answers whose first-ranked backend was not the one
+	// that succeeded.
 	plannerPlans            map[string]uint64 // by plan source
 	plannerBackendChosen    map[string]uint64 // by backend label
 	plannerBackendFallbacks map[string]uint64 // by backend label
@@ -632,7 +632,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		"Linear bottom-up circuit evaluation passes run by the compiled-circuit backend.", r.circuitEvals)
 
 	promLabeled(&b, "pdb_planner_plans_total", "counter",
-		"Query-level plan choices by the adaptive planner, by source (safe, greedy, body).", "source", r.plannerPlans)
+		"Query-level plan choices by the adaptive planner, by source (safe, greedy).", "source", r.plannerPlans)
 	promLabeled(&b, "pdb_planner_backend_chosen_total", "counter",
 		"Answers produced per inference backend.", "backend", r.plannerBackendChosen)
 	promLabeled(&b, "pdb_planner_backend_fallbacks_total", "counter",

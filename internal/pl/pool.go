@@ -10,11 +10,11 @@ import (
 // Scratch pools for the hot hash-join/dedup paths. Every operator run
 // allocates one hash table; under a serving workload those allocations
 // dominate the operator's cost for small and medium inputs. When the
-// ExecContext grants pooling (engine Options NoPool unset), the maps are
-// drawn from package-level sync.Pools and returned cleared, so repeated
-// evaluations reuse the grown bucket arrays. Outputs are byte-identical with
-// pooling on or off — the pools only change where the scratch memory comes
-// from.
+// ExecContext grants pooling (core.ExecConfig.Pooling; the engine always
+// does), the maps are drawn from package-level sync.Pools and returned
+// cleared, so repeated evaluations reuse the grown bucket arrays. Outputs
+// are byte-identical with pooling on or off — the pools only change where
+// the scratch memory comes from.
 //
 // The pools hold the maps' internal bucket arrays, not their contents:
 // every put clears the map first, so no tuple data outlives its evaluation.

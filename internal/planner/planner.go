@@ -39,9 +39,6 @@ const (
 	// SourceGreedy marks a plan picked by the selectivity estimator among the
 	// connected left-deep orders.
 	SourceGreedy = "greedy"
-	// SourceBody marks the static fallback: atoms joined in body order
-	// (the legacy behavior, kept for the -no-adaptive-plan ablation).
-	SourceBody = "body"
 )
 
 // IR is the plan intermediate representation an evaluation commits to once,
@@ -49,7 +46,7 @@ const (
 // figures for the chosen order. The engine threads the IR through execution
 // so traces, EXPLAIN and metrics can report the planning decision.
 type IR struct {
-	// Source is SourceSafe, SourceGreedy or SourceBody.
+	// Source is SourceSafe or SourceGreedy.
 	Source string
 	// Order is the join order behind Physical (nil for safe plans, whose
 	// shape is dictated by the hierarchy rather than an order).
@@ -149,21 +146,6 @@ func plan(db *relation.Database, q *query.Query, opts Options, cache *Cache) (ir
 		EstRows:      best.EstRows,
 		Candidates:   len(all),
 	}, passes, nil
-}
-
-// BodyIR is the static fallback IR: atoms joined in body order, no search.
-// It exists so the ablation path reports through the same IR plumbing.
-func BodyIR(q *query.Query) (*IR, error) {
-	start := time.Now()
-	order := make([]string, len(q.Atoms))
-	for i := range q.Atoms {
-		order[i] = q.Atoms[i].Pred
-	}
-	plan, err := query.LeftDeepPlan(q, order)
-	if err != nil {
-		return nil, err
-	}
-	return &IR{Source: SourceBody, Order: order, Physical: plan, SelectTime: time.Since(start)}, nil
 }
 
 // Choose scores the candidate left-deep orders of q against db and returns

@@ -220,17 +220,6 @@ func TestPlanSafeQuery(t *testing.T) {
 	}
 }
 
-func TestBodyIR(t *testing.T) {
-	q := query.MustParse("q :- C(y), B(x, y), A(x)")
-	ir, err := BodyIR(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ir.Source != SourceBody || !reflect.DeepEqual(ir.Order, []string{"C", "B", "A"}) {
-		t.Errorf("BodyIR = %+v", ir)
-	}
-}
-
 func TestCandidateString(t *testing.T) {
 	c := Candidate{Order: []string{"A", "B"}, EstOffending: 3, EstRows: 7}
 	s := c.String()

@@ -150,6 +150,28 @@ func LeftDeepPlan(q *Query, order []string) (*Plan, error) {
 	return forceProject(cur, q.Head), nil
 }
 
+// BodyOrder returns q's predicates in the order its body writes them.
+func BodyOrder(q *Query) []string {
+	order := make([]string, len(q.Atoms))
+	for i := range q.Atoms {
+		order[i] = q.Atoms[i].Pred
+	}
+	return order
+}
+
+// FixedPlan returns the plan that is a function of the query text alone: the
+// safe plan when q has one, else the left-deep plan in body order. It never
+// reads the data, so it is the same at every call: what a materialized view
+// needs for a recompute to be comparable bit for bit with the first
+// evaluation, and the plan the planner's data-aware choice is measured
+// against.
+func FixedPlan(q *Query) (*Plan, error) {
+	if plan, err := SafePlan(q); err == nil {
+		return plan, nil
+	}
+	return LeftDeepPlan(q, BodyOrder(q))
+}
+
 // forceProject ends the plan with a projection onto cols even when the
 // attribute set already matches (the final duplicate elimination is what
 // aggregates each answer's probability) — unless the plan already ends in a

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -171,6 +172,30 @@ func TestLeftDeepPlanShape(t *testing.T) {
 	attrs := p.Attrs()
 	if len(attrs) != 1 || attrs[0] != "h" {
 		t.Errorf("plan attrs = %v", attrs)
+	}
+}
+
+// TestFixedPlan: the safe plan for a hierarchical query, else the left-deep
+// plan in the order the body writes its atoms.
+func TestFixedPlan(t *testing.T) {
+	safe := MustParse("q :- R(x, y), S(x, z)")
+	got, err := FixedPlan(safe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := SafePlan(safe); got.String() != want.String() {
+		t.Errorf("safe query: FixedPlan = %s, want the safe plan %s", got, want)
+	}
+	unsafe := MustParse("q :- C(y), B(x, y), A(x)")
+	if order := BodyOrder(unsafe); !reflect.DeepEqual(order, []string{"C", "B", "A"}) {
+		t.Errorf("BodyOrder = %v", order)
+	}
+	got, err = FixedPlan(unsafe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := LeftDeepPlan(unsafe, []string{"C", "B", "A"}); got.String() != want.String() {
+		t.Errorf("unsafe query: FixedPlan = %s, want body order %s", got, want)
 	}
 }
 

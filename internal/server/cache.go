@@ -108,15 +108,12 @@ func exactFloat(v float64) string {
 // and re-rendered) query plus every option that changes the answer bytes.
 // Parallelism is deliberately excluded — results are byte-identical at any
 // worker count — so differently-parallel clients share entries.
-// NoAdaptivePlan is included: exact answers agree between the two planning
-// modes only up to final-ulp rounding, and the response also carries
-// mode-dependent statistics (offending tuples, plan/inference split).
 // NoCircuit is included for the statistics alone — answer bytes are
 // bit-identical with and without the circuit backend by construction.
 func cacheKey(q *pdb.Query, strategy pdb.Strategy, req *QueryRequest) string {
-	return fmt.Sprintf("%s|%s|%d|%s|%s|%d|%d|%t|%t",
+	return fmt.Sprintf("%s|%s|%d|%s|%s|%d|%d|%t",
 		q.String(), strategy, req.Samples, exactFloat(req.Epsilon), exactFloat(req.Delta),
-		req.Seed, req.MaxWidth, req.NoAdaptivePlan, req.NoCircuit)
+		req.Seed, req.MaxWidth, req.NoCircuit)
 }
 
 // versioned prefixes a key with the read-set version vector it was computed

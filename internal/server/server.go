@@ -333,10 +333,6 @@ type QueryRequest struct {
 	// NoCache bypasses the server's result cache for this request: the
 	// query always evaluates, and the result is not stored.
 	NoCache bool `json:"no_cache,omitempty"`
-	// NoAdaptivePlan disables the cost-aware planner for this request:
-	// safe-plan-else-body-order plans and the fixed legacy inference
-	// backend order. Ablation knob; answers are equivalent either way.
-	NoAdaptivePlan bool `json:"no_adaptive_plan,omitempty"`
 	// NoCircuit disables the compiled-circuit exact backend for this
 	// request: exact inference reverts to the memoized Shannon solver.
 	// Ablation knob; answers are bit-identical either way.
@@ -649,9 +645,7 @@ func (s *Server) evaluateUncached(ctx context.Context, req *QueryRequest, start 
 		MaxWidth:    req.MaxWidth,
 		Parallelism: min(req.Parallelism, s.cfg.MaxParallelism),
 		Trace:       req.Trace,
-
-		NoAdaptivePlan: req.NoAdaptivePlan,
-		NoCircuit:      req.NoCircuit || s.cfg.NoCircuit,
+		NoCircuit:   req.NoCircuit || s.cfg.NoCircuit,
 	}
 	opts.Budget.Mem = s.cfg.MemBudget
 	if req.Budget != nil {
@@ -815,11 +809,20 @@ func errorResponse(err error, partial *pdb.Result, traced bool) *ErrorResponse {
 		resp.Code = "budget_nodes"
 	case errors.Is(err, pdb.ErrNotDataSafe):
 		resp.Code = "not_data_safe"
+	case sampleCountError(err):
+		resp.Code = "bad_request"
 	}
 	if traced && partial != nil {
 		resp.PartialTrace = traceJSON(partial)
 	}
 	return resp
+}
+
+// sampleCountError reports an (ε, δ) request no sample count can honour: the
+// client's to fix, like any other bad option value.
+func sampleCountError(err error) bool {
+	var sce *pdb.SampleCountError
+	return errors.As(err, &sce)
 }
 
 // errorStatus maps an evaluation error to its HTTP status.
@@ -832,6 +835,8 @@ func errorStatus(err error) int {
 	case errors.Is(err, pdb.ErrRowBudget), errors.Is(err, pdb.ErrNodeBudget),
 		errors.Is(err, pdb.ErrNotDataSafe):
 		return http.StatusUnprocessableEntity
+	case sampleCountError(err):
+		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError
 	}

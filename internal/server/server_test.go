@@ -546,6 +546,7 @@ func TestServerValidation(t *testing.T) {
 		{"bad syntax", "/query", `{"query":"not a query!!"}`, 400, "bad_request"},
 		{"unknown strategy", "/query", fmt.Sprintf(`{"query":%q,"strategy":"exactish"}`, triangleQuery), 400, "bad_request"},
 		{"half-set epsilon", "/query", fmt.Sprintf(`{"query":%q,"strategy":"mc","epsilon":0.1}`, triangleQuery), 0, "internal"},
+		{"unrepresentable sample count", "/query", fmt.Sprintf(`{"query":%q,"strategy":"mc","epsilon":1e-10,"delta":0.5}`, triangleQuery), 400, "bad_request"},
 		{"missing relation", "/query", `{"query":"q :- Nope(a)"}`, 0, "internal"},
 		{"misspelt option", "/query", fmt.Sprintf(`{"query":%q,"paralellism":4}`, triangleQuery), 400, "bad_request"},
 		{"misspelt cache switch", "/query", fmt.Sprintf(`{"query":%q,"no_cahce":true}`, triangleQuery), 400, "bad_request"},

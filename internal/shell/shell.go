@@ -243,7 +243,7 @@ func (s *Shell) exec(line string, w io.Writer) (quit bool, err error) {
 			if p, err := pdb.SafePlan(s.query); err == nil {
 				fmt.Fprintf(w, "%s (safe plan)\n", p)
 			} else {
-				fmt.Fprintf(w, "left-deep in body order (unsafe query: %v)\n", err)
+				fmt.Fprintf(w, "left-deep, join order chosen by the planner at run (unsafe query: %v)\n", err)
 			}
 		}
 	case "run":

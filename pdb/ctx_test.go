@@ -127,6 +127,13 @@ func TestEpsilonDeltaOptions(t *testing.T) {
 	if _, err := db.Evaluate(q, Options{Strategy: MonteCarlo, Delta: 0.1}); err == nil {
 		t.Error("Delta without Epsilon: want error")
 	}
+	// A valid pair whose sample count overflows an int on this lineage is a
+	// typed error, not a negative count handed to the sampler.
+	_, err = db.Evaluate(q, Options{Strategy: MonteCarlo, Epsilon: 1e-10, Delta: 0.5})
+	var sce *SampleCountError
+	if !errors.As(err, &sce) || sce.Epsilon != 1e-10 || sce.Delta != 0.5 || sce.Clauses == 0 {
+		t.Errorf("unrepresentable sample count: err = %v, want a SampleCountError naming ε, δ and the clause count", err)
+	}
 	// A fixed seed makes the (ε, δ) Karp–Luby run exactly reproducible, and
 	// ε=0.05, δ=0.01 lands within relative error ε of the exact answer (the
 	// guarantee holds with probability 1−δ; a failure here is a 1-in-100

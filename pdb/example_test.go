@@ -7,10 +7,10 @@ import (
 )
 
 // The canonical unsafe query of the paper's Section 4.1 evaluated with
-// partial lineage. In body order the single FD-violating tuple is treated
-// symbolically; the cost-aware planner (on by default) instead picks a join
-// order that is data-safe on this instance, conditioning nothing — the
-// probability is identical either way.
+// partial lineage. Under the plan a caller writes in body order the single
+// FD-violating tuple is treated symbolically; the cost-aware planner instead
+// picks a join order that is data-safe on this instance, conditioning
+// nothing — the probability is identical either way.
 func ExampleDatabase_Evaluate() {
 	db := pdb.NewDatabase()
 	r := db.CreateRelation("R", "x")
@@ -23,8 +23,9 @@ func ExampleDatabase_Evaluate() {
 	t.AddInts(0.3, 2)
 
 	q, _ := pdb.ParseQuery("q :- R(x), S(x, y), T(y)")
-	legacy, _ := db.Evaluate(q, pdb.Options{Strategy: pdb.PartialLineage, NoAdaptivePlan: true})
-	fmt.Printf("body order:   Pr(q) = %.4f, offending tuples = %d\n", legacy.BoolProb(), legacy.Stats.OffendingTuples)
+	plan, _ := pdb.LeftDeepPlan(q, "R", "S", "T")
+	body, _ := db.EvaluateWithPlan(q, plan, pdb.Options{Strategy: pdb.PartialLineage})
+	fmt.Printf("body order:   Pr(q) = %.4f, offending tuples = %d\n", body.BoolProb(), body.Stats.OffendingTuples)
 	adaptive, _ := db.Evaluate(q, pdb.Options{Strategy: pdb.PartialLineage})
 	fmt.Printf("planned (%s): Pr(q) = %.4f, offending tuples = %d\n",
 		adaptive.Stats.PlanOrder, adaptive.BoolProb(), adaptive.Stats.OffendingTuples)

@@ -68,7 +68,9 @@ func (k RefreshKind) String() string {
 // the engine's seeded Karp–Luby sampler (bit-identical to Strategy
 // MonteCarlo at the same Seed). Evidence conditioning is not supported.
 func (d *Database) Materialize(q *Query, opts Options) (*Materialized, error) {
-	plan, err := viewPlan(q)
+	// The same plan at every recompute, whatever the data: that is what makes
+	// a refreshed result comparable bit for bit against a fresh Materialize.
+	plan, err := query.FixedPlan(q.q)
 	if err != nil {
 		return nil, err
 	}
@@ -83,22 +85,6 @@ func (d *Database) Materialize(q *Query, opts Options) (*Materialized, error) {
 		reads[name] = true
 	}
 	return &Materialized{d: d, q: q, m: m, reads: reads, seq: d.deltaSeq}, nil
-}
-
-// viewPlan picks the view's physical plan: the safe plan when one exists,
-// else the left-deep plan in body order. The choice is a pure function of
-// the query — never of the data — so it is identical at materialize time and
-// at every recompute, which is what makes refreshed results comparable
-// bit-for-bit against a fresh Materialize.
-func viewPlan(q *Query) (*query.Plan, error) {
-	if plan, err := query.SafePlan(q.q); err == nil {
-		return plan, nil
-	}
-	order := make([]string, len(q.q.Atoms))
-	for i := range q.q.Atoms {
-		order[i] = q.q.Atoms[i].Pred
-	}
-	return query.LeftDeepPlan(q.q, order)
 }
 
 // Refresh brings the view up to date with the database, reporting how: a

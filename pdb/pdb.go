@@ -121,6 +121,12 @@ var (
 // needs conditioning on this instance; matchable with errors.Is.
 var ErrNotDataSafe = engine.ErrNotDataSafe
 
+// SampleCountError is returned when Options.Epsilon and Options.Delta are a
+// valid pair but an answer's lineage has so many clauses that the Karp–Luby
+// sample count ⌈4·m·ln(2/δ)/ε²⌉ does not fit an int; it carries ε, δ and the
+// clause count m. Matchable with errors.As.
+type SampleCountError = engine.SampleCountError
+
 // Mutation errors, matchable with errors.Is: ErrInvalidProb reports a
 // presence probability outside [0,1] (including NaN), rejected at insert
 // time by Add/AddInts/SetProb; ErrNoSuchTuple reports that SetProb or Delete
@@ -174,20 +180,9 @@ type Options struct {
 	// Exact answers are bit-identical with and without them; the flag exists
 	// for ablation and the crosscheck equivalence tests.
 	NoMemo bool
-	// NoIntern disables key interning inside the lineage memo (observable
-	// only through Stats.InternHits and memory footprint).
-	NoIntern bool
 	// NoCons disables AND-OR network hash-consing of deterministic gates
 	// (for the node-count ablation; always sound either way).
 	NoCons bool
-	// NoPool disables sync.Pool scratch reuse in the hash-join/dedup
-	// operators (for the allocation ablation; outputs are byte-identical).
-	NoPool bool
-	// NoAdaptivePlan disables the cost-aware planner: plan choice reverts
-	// to safe-plan-else-body-order and per-answer inference uses the fixed
-	// legacy backend order. Ablation knob; answers are equivalent either
-	// way (see docs/PLANNER.md).
-	NoAdaptivePlan bool
 	// NoCircuit disables the compiled-circuit exact backend: per-answer
 	// exact inference reverts to the memoized Shannon solver and prob-update
 	// refreshes of materialized views re-solve instead of re-evaluating
@@ -224,13 +219,9 @@ func (o Options) engineOptions() engine.Options {
 		Trace:       o.Trace,
 		Budget:      o.Budget,
 		NoMemo:      o.NoMemo,
-		NoIntern:    o.NoIntern,
 		NoCons:      o.NoCons,
-		NoPool:      o.NoPool,
-
-		NoAdaptivePlan: o.NoAdaptivePlan,
-		NoCircuit:      o.NoCircuit,
-		ExactBudget:    o.ExactBudget,
+		NoCircuit:   o.NoCircuit,
+		ExactBudget: o.ExactBudget,
 		// The process-wide sink: backend attempt telemetry for metrics and
 		// the pdbbench calibration report. Observability only — never an
 		// input to planning (see planner.Sink).
@@ -819,10 +810,7 @@ func (r *Result) WriteNetworkDOT(w io.Writer) error {
 // onto a DBMS; the in-process engine remains the system of record.
 func GenerateSQL(q *Query, order []string) (string, error) {
 	if len(order) == 0 || (len(order) == 1 && order[0] == "") {
-		order = make([]string, len(q.q.Atoms))
-		for i := range q.q.Atoms {
-			order[i] = q.q.Atoms[i].Pred
-		}
+		order = query.BodyOrder(q.q)
 	}
 	plan, err := query.LeftDeepPlan(q.q, order)
 	if err != nil {
@@ -899,7 +887,7 @@ func (d *Database) TopKQuery(q *Query, opts TopKOptions) (*TopKResult, error) {
 // evaluation does, and the multisimulation checks it between refinement
 // rounds, so a cancelled or expired ctx returns its error within one round.
 func (d *Database) TopKQueryContext(ctx context.Context, q *Query, opts TopKOptions) (*TopKResult, error) {
-	plan, err := viewPlan(q)
+	plan, err := query.FixedPlan(q.q)
 	if err != nil {
 		return nil, err
 	}
@@ -938,8 +926,9 @@ func (d *Database) TopKQueryContext(ctx context.Context, q *Query, opts TopKOpti
 	return out, nil
 }
 
-// Evaluate runs the query with an automatically chosen plan: the safe plan
-// when the query is safe, otherwise the left-deep plan in body order.
+// Evaluate runs the query with the plan the planner chooses: the safe plan
+// when the query is safe, otherwise the join order estimated to condition the
+// fewest offending tuples (docs/PLANNER.md).
 func (d *Database) Evaluate(q *Query, opts Options) (*Result, error) {
 	return d.EvaluateContext(context.Background(), q, opts)
 }

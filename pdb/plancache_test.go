@@ -90,20 +90,21 @@ func TestPlanCacheCounters(t *testing.T) {
 
 	// OptimizePlan shares the statistics tier.
 	before := db.PlanCacheStats()
-	if _, _, err := db.OptimizePlan(q); err != nil {
+	best, _, err := db.OptimizePlan(q)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if after := db.PlanCacheStats(); after.StatsMisses != before.StatsMisses || after.StatsHits != before.StatsHits+3 {
 		t.Errorf("OptimizePlan on warm statistics: %+v -> %+v", before, after)
 	}
 
-	// The ablation never consults the planner, so it reports no cache.
-	res, err := db.Evaluate(q, Options{NoAdaptivePlan: true})
+	// A supplied plan never consults the planner, so it reports no cache.
+	res, err := db.EvaluateWithPlan(q, best.Plan, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.PlanCache != "" {
-		t.Errorf("NoAdaptivePlan reported plan cache %q", res.Stats.PlanCache)
+		t.Errorf("EvaluateWithPlan reported plan cache %q", res.Stats.PlanCache)
 	}
 }
 
