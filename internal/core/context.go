@@ -118,8 +118,8 @@ type ExecConfig struct {
 	Parallelism int
 	// Trace enables the per-operator statistics sink.
 	Trace bool
-	// Pooling lets hot operators reuse scratch allocations (hash-join
-	// buckets, dedup group tables) through package-level sync.Pools. Purely
+	// Pooling lets hot operators reuse scratch allocations (the pl
+	// operators' group tables) through a package-level sync.Pool. Purely
 	// an allocation optimization: outputs are byte-identical either way.
 	Pooling bool
 }

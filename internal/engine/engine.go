@@ -254,6 +254,9 @@ type Evidence struct {
 }
 
 // Row is one answer: the head-variable values and the answer probability.
+// Vals is the row's own copy, made at answer assembly (one allocation per
+// answer): it shares no storage with the operators' value chunks or with
+// other rows, so keeping a Row keeps nothing else alive.
 // Under the Dissociation strategy the row is bounds-valued: Lo and Hi
 // bracket the true probability (Lo == Hi when the answer's lineage was
 // read-once or solved exactly) and P is the interval midpoint; all other
@@ -286,11 +289,17 @@ func (r *Result) BoolProb() float64 {
 // Prob returns the probability of the answer with the given head values,
 // or 0 if absent.
 func (r *Result) Prob(vals tuple.Tuple) float64 {
-	k := vals.Key()
+rows:
 	for _, row := range r.Rows {
-		if row.Vals.Key() == k {
-			return row.P
+		if len(row.Vals) != len(vals) {
+			continue
 		}
+		for i, v := range vals {
+			if !v.KeyEqual(row.Vals[i]) {
+				continue rows
+			}
+		}
+		return row.P
 	}
 	return 0
 }

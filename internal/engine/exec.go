@@ -82,11 +82,10 @@ func evalNetwork(ec *core.ExecContext, db *relation.Database, q *query.Query, pl
 		final = make([]finalTuple, 0, out.Len())
 		seen := make(map[aonet.NodeID]bool)
 		for _, t := range out.Tuples {
-			vals := t.Vals
-			if perm != nil {
-				vals = vals.Project(perm)
-			}
-			final = append(final, finalTuple{vals: vals, p: t.P, lin: t.Lin})
+			// A copy even when the plan already emits head order: the
+			// operators cut rows from shared chunks, and a Result that kept
+			// one row's slice would keep its whole chunk alive.
+			final = append(final, finalTuple{vals: t.Vals.Project(perm), p: t.P, lin: t.Lin})
 			if t.Lin != aonet.Epsilon && !seen[t.Lin] {
 				seen[t.Lin] = true
 				distinct = append(distinct, t.Lin)
@@ -172,24 +171,11 @@ func evalNetwork(ec *core.ExecContext, db *relation.Database, q *query.Query, pl
 	return res, nil
 }
 
-// headPermutation maps head positions to plan output columns: nil when the
-// plan already emits exactly the head order (the common case — no copy
-// needed), otherwise an index slice for tuple.Project. A head variable
-// missing from the plan output is an internal plan-construction error.
+// headPermutation maps head positions to plan output columns, for
+// tuple.Project at answer assembly. A head variable missing from the plan
+// output is an internal plan-construction error.
 func headPermutation(q *query.Query, plan *query.Plan) ([]int, error) {
 	attrs := tuple.Schema(plan.Attrs())
-	if len(attrs) == len(q.Head) {
-		same := true
-		for i, h := range q.Head {
-			if attrs[i] != h {
-				same = false
-				break
-			}
-		}
-		if same {
-			return nil, nil
-		}
-	}
 	perm := make([]int, len(q.Head))
 	for i, h := range q.Head {
 		j := attrs.Index(h)

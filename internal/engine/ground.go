@@ -181,7 +181,8 @@ func (g *grounder) prepare() error {
 			if !ok {
 				continue
 			}
-			ap.index[row.Tuple.KeyAt(ap.boundPos)] = append(ap.index[row.Tuple.KeyAt(ap.boundPos)], ri)
+			k := row.Tuple.KeyAt(ap.boundPos)
+			ap.index[k] = append(ap.index[k], ri)
 		}
 		for v := range ap.newVarPos {
 			bound[v] = true

@@ -46,9 +46,9 @@ type CompilePoint struct {
 	Speedup float64 `json:"speedup"`
 	// Compiles, Hits and Evals are the circuit-side cache counters after the
 	// run: compiles should stay flat across rounds while hits and evals grow.
-	Compiles int64 `json:"compiles"`
-	Hits     int64 `json:"hits"`
-	Evals    int64 `json:"evals"`
+	Compiles int64  `json:"compiles"`
+	Hits     int64  `json:"hits"`
+	Evals    int64  `json:"evals"`
 	Err      string `json:"error,omitempty"`
 }
 

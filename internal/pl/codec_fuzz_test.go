@@ -179,9 +179,9 @@ func TestCodecTruncation(t *testing.T) {
 // are typed errors, not allocations or panics.
 func TestCodecRejectsCorruption(t *testing.T) {
 	cases := [][]byte{
-		{0x00},       // unknown record kind
-		{0x7f},       // unknown record kind
-		{recKindTuple, 0x01, 0, 0, 0, 0, 0, 0, 0, 0, 0x00, 0xff}, // unknown value kind
+		{0x00}, // unknown record kind
+		{0x7f}, // unknown record kind
+		{recKindTuple, 0x01, 0, 0, 0, 0, 0, 0, 0, 0, 0x00, 0xff},               // unknown value kind
 		append([]byte{recKindGroup, 0x01, 0x00}, 0xff, 0xff, 0xff, 0xff, 0x7f), // absurd member count
 	}
 	for i, data := range cases {

@@ -81,11 +81,10 @@ func IndProjectStreamCtx(ec *core.ExecContext, attrs tuple.Schema, it Iterator, 
 		return nil, fmt.Errorf("pl: IndProject: %w", err)
 	}
 	out := &Relation{Attrs: tuple.Schema(cols).Clone()}
-	type groupKey struct {
-		vals string
-		lin  aonet.NodeID
-	}
-	pos := make(map[groupKey]int)
+	kept := positions(len(idx)) // an output row holds exactly the key columns
+	tab := getTable(ec, 0)
+	defer putTable(ec, tab)
+	var arena valArena
 	chk := core.Check{EC: ec}
 	charge := rowCharger{ec: ec}
 	for {
@@ -99,21 +98,39 @@ func IndProjectStreamCtx(ec *core.ExecContext, attrs tuple.Schema, it Iterator, 
 		if err := chk.Tick(); err != nil {
 			return nil, err
 		}
-		k := groupKey{vals: t.Vals.KeyAt(idx), lin: t.Lin}
-		if i, ok := pos[k]; ok {
-			out.Tuples[i].P = 1 - (1-out.Tuples[i].P)*(1-t.P)
+		// The key is (values, lineage). A group's id is its output row's
+		// number: both count first arrivals.
+		g, fresh := tab.get(t.Vals.HashAt(idx)^uint64(t.Lin)*0x9E3779B97F4A7C15, func(id int32) bool {
+			o := &out.Tuples[id]
+			return o.Lin == t.Lin && o.Vals.KeyEqualAt(kept, t.Vals, idx)
+		}, true)
+		if !fresh {
+			out.Tuples[g].P = 1 - (1-out.Tuples[g].P)*(1-t.P)
 			continue
 		}
 		if err := charge.add(1); err != nil {
 			return nil, err
 		}
-		pos[k] = len(out.Tuples)
-		out.Tuples = append(out.Tuples, Tuple{Vals: t.Vals.Project(idx), P: t.P, Lin: t.Lin})
+		vals := arena.take(len(idx), len(idx)*max(4, len(out.Tuples)))
+		for k, i := range idx {
+			vals[k] = t.Vals[i]
+		}
+		out.Tuples = append(out.Tuples, Tuple{Vals: vals, P: t.P, Lin: t.Lin})
 	}
 	if err := charge.flush(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// positions returns 0..n-1: the key positions of a tuple keyed on all of its
+// values.
+func positions(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
 }
 
 // CondCtx is Cond with the new node charged to the node budget.
@@ -123,37 +140,89 @@ func CondCtx(ec *core.ExecContext, r *Relation, i int, net *aonet.Network) error
 	return ec.ChargeNodes(net.Len() - before)
 }
 
-// CSetCtx returns the indexes in r1 of the offending tuples with respect to
-// a join with r2 (Definition 5.14): uncertain tuples (p < 1) that join two or
-// more tuples of r2. joinCols names the join attributes (shared attribute
-// names).
-func CSetCtx(ec *core.ExecContext, r1, r2 *Relation, joinCols []string) ([]int, error) {
-	idx1, err := r1.Attrs.Indexes(joinCols)
-	if err != nil {
-		return nil, fmt.Errorf("pl: CSet: %w", err)
-	}
-	idx2, err := r2.Attrs.Indexes(joinCols)
-	if err != nil {
-		return nil, fmt.Errorf("pl: CSet: %w", err)
-	}
+// joinMatch is what one index over r2 and one probe pass over r1 establish:
+// enough for both cSets, the output size and the join itself, so every tuple
+// is hashed once per join.
+type joinMatch struct {
+	tab        *groupTable // r2 grouped by join key; chained entry j is r2.Tuples[j]
+	grp1, grp2 []int32     // each tuple's group; -1 for an r1 tuple matching nothing
+	n1, n2     []int32     // per group: the r1 and the r2 tuples carrying its key
+	rows       int         // size of the join
+}
+
+func matchJoin(ec *core.ExecContext, tab *groupTable, r1, r2 *Relation, idx1, idx2 []int) (joinMatch, error) {
 	chk := core.Check{EC: ec}
-	fanout := make(map[string]int, len(r2.Tuples))
-	for _, t := range r2.Tuples {
+	grp := make([]int32, len(r1.Tuples)+len(r2.Tuples))
+	m := joinMatch{tab: tab, grp1: grp[:len(r1.Tuples)], grp2: grp[len(r1.Tuples):]}
+	for j := range r2.Tuples {
 		if err := chk.Tick(); err != nil {
-			return nil, err
+			return m, err
 		}
-		fanout[t.Vals.KeyAt(idx2)]++
+		vals := r2.Tuples[j].Vals
+		g, fresh := tab.get(vals.HashAt(idx2), func(id int32) bool {
+			return r2.Tuples[tab.ends[id].head].Vals.KeyEqualAt(idx2, vals, idx2)
+		}, true)
+		tab.chain(g, fresh)
+		m.grp2[j] = g
 	}
-	var out []int
-	for i, t := range r1.Tuples {
+	n := make([]int32, 2*len(tab.ends))
+	m.n1, m.n2 = n[:len(tab.ends)], n[len(tab.ends):]
+	for _, g := range m.grp2 {
+		m.n2[g]++
+	}
+	for i := range r1.Tuples {
 		if err := chk.Tick(); err != nil {
-			return nil, err
+			return m, err
 		}
-		if t.P < 1 && fanout[t.Vals.KeyAt(idx1)] >= 2 {
-			out = append(out, i)
+		vals := r1.Tuples[i].Vals
+		g, _ := tab.get(vals.HashAt(idx1), func(id int32) bool {
+			return r2.Tuples[tab.ends[id].head].Vals.KeyEqualAt(idx2, vals, idx1)
+		}, false)
+		m.grp1[i] = g
+		if g >= 0 {
+			m.n1[g]++
+			m.rows += int(m.n2[g])
 		}
 	}
-	return out, nil
+	return m, nil
+}
+
+// cSets returns both sides' offending tuples (Definition 5.14), ascending:
+// the uncertain tuples whose key the other side carries at least twice.
+func (m *joinMatch) cSets(r1, r2 *Relation) (c1, c2 []int) {
+	for i, g := range m.grp1 {
+		if g >= 0 && m.n2[g] >= 2 && r1.Tuples[i].P < 1 {
+			c1 = append(c1, i)
+		}
+	}
+	for j, g := range m.grp2 {
+		if m.n1[g] >= 2 && r2.Tuples[j].P < 1 {
+			c2 = append(c2, j)
+		}
+	}
+	return c1, c2
+}
+
+// emit produces the join in r1 order, then ascending r2 index. The inputs
+// may have been conditioned since the match: conditioning changes
+// probabilities and lineage, never keys.
+func (m *joinMatch) emit(ec *core.ExecContext, r1, r2 *Relation, net *aonet.Network, sh joinShape) (*Relation, error) {
+	chk := core.Check{EC: ec}
+	o := newJoinOut(ec, sh, net, m.rows)
+	for i, g := range m.grp1 {
+		if g < 0 {
+			continue
+		}
+		for j := m.tab.ends[g].head; j >= 0; j = m.tab.next[j] {
+			if err := chk.Tick(); err != nil {
+				return nil, err
+			}
+			if err := o.add(r1.Tuples[i], r2.Tuples[j]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return o.rel, o.charge.flush()
 }
 
 // joinShape is the compiled schema arithmetic shared by the in-memory and
@@ -185,28 +254,41 @@ func compileJoin(r1, r2 *Relation) (joinShape, error) {
 	return joinShape{idx1: idx1, idx2: idx2, outAttrs: outAttrs, rest2: rest2}, nil
 }
 
-// joinTuple combines one matching pair per Definition 5.13; needGate is true
-// for symbolic×symbolic pairs, whose And node the caller must allocate.
-func joinTuple(t1, t2 Tuple, rest2 []int) (nt Tuple, needGate bool) {
-	vals := t1.Vals.Concat(t2.Vals.Project(rest2))
-	switch {
-	case t1.Lin == aonet.Epsilon && t2.Lin == aonet.Epsilon:
-		return Tuple{Vals: vals, P: t1.P * t2.P, Lin: aonet.Epsilon}, false
-	case t2.Lin == aonet.Epsilon:
-		return Tuple{Vals: vals, P: t1.P * t2.P, Lin: t1.Lin}, false
-	case t1.Lin == aonet.Epsilon:
-		return Tuple{Vals: vals, P: t1.P * t2.P, Lin: t2.Lin}, false
-	default:
-		return Tuple{Vals: vals, P: 1}, true
-	}
+// joinOut collects a join's output rows, in memory and from the spill merge
+// alike: rows is the join's size, counted before the first row is emitted, so
+// the rows' values come from chunks cut to what is still to come.
+type joinOut struct {
+	rel    *Relation
+	rows   int
+	rest2  []int
+	net    *aonet.Network
+	arena  valArena
+	charge rowCharger
 }
 
-// andEdges returns the And-gate edges of a symbolic×symbolic join pair.
-func andEdges(t1, t2 Tuple) []aonet.Edge {
-	return []aonet.Edge{
-		{From: t1.Lin, P: t1.P},
-		{From: t2.Lin, P: t2.P},
+func newJoinOut(ec *core.ExecContext, sh joinShape, net *aonet.Network, rows int) *joinOut {
+	rel := &Relation{Attrs: sh.outAttrs, Tuples: make([]Tuple, 0, min(rows, maxChunk))}
+	return &joinOut{rel: rel, rows: rows, rest2: sh.rest2, net: net, charge: rowCharger{ec: ec}}
+}
+
+// add appends one matching pair per Definition 5.13: probabilities multiply
+// and the non-trivial lineage, if any, is inherited; a symbolic×symbolic pair
+// gets a new And gate over both (lineage, probability) pairs and probability 1.
+func (o *joinOut) add(t1, t2 Tuple) error {
+	w := len(t1.Vals) + len(o.rest2)
+	vals := o.arena.take(w, (o.rows-len(o.rel.Tuples))*w)
+	copy(vals, t1.Vals)
+	for k, p := range o.rest2 {
+		vals[len(t1.Vals)+k] = t2.Vals[p]
 	}
+	nt := Tuple{Vals: vals, P: t1.P * t2.P, Lin: t1.Lin}
+	if t1.Lin == aonet.Epsilon {
+		nt.Lin = t2.Lin
+	} else if t2.Lin != aonet.Epsilon {
+		nt.P, nt.Lin = 1, o.net.AddGate(aonet.And, []aonet.Edge{{From: t1.Lin, P: t1.P}, {From: t2.Lin, P: t2.P}})
+	}
+	o.rel.Tuples = append(o.rel.Tuples, nt)
+	return o.charge.add(1)
 }
 
 // JoinCtx computes r1 ⋈_pL r2 (Definition 5.13), the natural join on the
@@ -223,59 +305,74 @@ func andEdges(t1, t2 Tuple) []aonet.Edge {
 // selects the spill join (docs/SPILL.md): same output, node IDs included, at
 // any positive budget.
 func JoinCtx(ec *core.ExecContext, r1, r2 *Relation, net *aonet.Network) (*Relation, error) {
+	out, _, err := join(ec, r1, r2, net, false)
+	return out, err
+}
+
+// SafeJoinCtx conditions both inputs on their cSets (Theorem 5.16) and then
+// joins them. It returns the join result and the number of offending tuples
+// conditioned, the per-operator distance from data-safety (Definition 3.4).
+// The inputs are cloned, not modified.
+func SafeJoinCtx(ec *core.ExecContext, r1, r2 *Relation, net *aonet.Network) (*Relation, int, error) {
+	return join(ec, r1, r2, net, true)
+}
+
+// join is JoinCtx, preceded when safe is set by conditioning on the cSets,
+// c1 ascending then c2. One match serves the cSets and the in-memory join;
+// under a memory budget the join itself is joinSpill's.
+func join(ec *core.ExecContext, r1, r2 *Relation, net *aonet.Network, safe bool) (*Relation, int, error) {
 	sh, err := compileJoin(r1, r2)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
+	}
+	spill := ec.MemBudget() > 0
+	var m joinMatch
+	if safe || !spill {
+		tab := getTable(ec, len(r2.Tuples))
+		defer putTable(ec, tab)
+		if m, err = matchJoin(ec, tab, r1, r2, sh.idx1, sh.idx2); err != nil {
+			return nil, 0, err
+		}
+	}
+	conditioned := 0
+	if safe {
+		c1, c2 := m.cSets(r1, r2)
+		if r1, err = condAll(ec, r1, c1, net); err != nil {
+			return nil, 0, err
+		}
+		if r2, err = condAll(ec, r2, c2, net); err != nil {
+			return nil, 0, err
+		}
+		conditioned = len(c1) + len(c2)
 	}
 	nodes0 := net.Len()
 	var out *Relation
-	if ec.MemBudget() > 0 {
+	if spill {
 		out, err = joinSpill(ec, r1, r2, net, sh)
 	} else {
-		out, err = joinSerial(ec, r1, r2, net, sh)
+		out, err = m.emit(ec, r1, r2, net, sh)
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if err := ec.ChargeNodes(net.Len() - nodes0); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return out, nil
+	return out, conditioned, nil
 }
 
-func joinSerial(ec *core.ExecContext, r1, r2 *Relation, net *aonet.Network, sh joinShape) (*Relation, error) {
-	chk := core.Check{EC: ec}
-	charge := rowCharger{ec: ec}
-	buckets := getJoinBuckets(ec)
-	defer putJoinBuckets(ec, buckets)
-	for j, t := range r2.Tuples {
-		if err := chk.Tick(); err != nil {
+// condAll conditions a copy of r on the tuples at c; r itself when c is empty.
+func condAll(ec *core.ExecContext, r *Relation, c []int, net *aonet.Network) (*Relation, error) {
+	if len(c) == 0 {
+		return r, nil
+	}
+	r = r.Clone()
+	for _, i := range c {
+		if err := CondCtx(ec, r, i, net); err != nil {
 			return nil, err
 		}
-		k := t.Vals.KeyAt(sh.idx2)
-		buckets[k] = append(buckets[k], int32(j))
 	}
-	out := &Relation{Attrs: sh.outAttrs}
-	for _, t1 := range r1.Tuples {
-		for _, j := range buckets[t1.Vals.KeyAt(sh.idx1)] {
-			if err := chk.Tick(); err != nil {
-				return nil, err
-			}
-			t2 := r2.Tuples[j]
-			nt, needGate := joinTuple(t1, t2, sh.rest2)
-			if needGate {
-				nt.Lin = net.AddGate(aonet.And, andEdges(t1, t2))
-			}
-			if err := charge.add(1); err != nil {
-				return nil, err
-			}
-			out.Tuples = append(out.Tuples, nt)
-		}
-	}
-	if err := charge.flush(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return r, nil
 }
 
 // DedupCtx performs the deduplication stage of Section 5.3.2: tuples with
@@ -309,51 +406,45 @@ func DedupCtx(ec *core.ExecContext, r *Relation, net *aonet.Network) (*Relation,
 
 func dedupSerial(ec *core.ExecContext, r *Relation, net *aonet.Network) (*Relation, error) {
 	out := &Relation{Attrs: r.Attrs.Clone()}
-	groups := getDedupGroups(ec)
-	defer putDedupGroups(ec, groups)
-	var order []string
+	all := positions(len(r.Attrs))
+	tab := getTable(ec, len(r.Tuples))
+	defer putTable(ec, tab)
 	chk := core.Check{EC: ec}
-	for i, t := range r.Tuples {
+	for i := range r.Tuples {
 		if err := chk.Tick(); err != nil {
 			return nil, err
 		}
-		k := t.Vals.Key()
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], i)
+		vals := r.Tuples[i].Vals
+		tab.chain(tab.get(vals.HashAt(all), func(id int32) bool {
+			return r.Tuples[tab.ends[id].head].Vals.KeyEqualAt(all, vals, all)
+		}, true))
 	}
-	for _, k := range order {
+	// Groups come out in first-occurrence order, members ascending; a group
+	// of one passes through, a larger one becomes an Or gate over its
+	// members' (lineage, probability) pairs.
+	var edges []aonet.Edge
+	for _, e := range tab.ends {
 		if err := chk.Tick(); err != nil {
 			return nil, err
 		}
-		emitDedupGroup(out, r, groups[k], net)
+		if e.head == e.tail {
+			out.Tuples = append(out.Tuples, r.Tuples[e.head])
+			continue
+		}
+		edges = edges[:0]
+		for i := e.head; i >= 0; i = tab.next[i] {
+			edges = append(edges, aonet.Edge{From: r.Tuples[i].Lin, P: r.Tuples[i].P})
+		}
+		lin := net.AddGate(aonet.Or, edges)
+		out.Tuples = append(out.Tuples, Tuple{Vals: r.Tuples[e.head].Vals, P: 1, Lin: lin})
 	}
 	return out, nil
-}
-
-// emitDedupGroup appends one deduplicated group per Section 5.3.2.
-func emitDedupGroup(out *Relation, r *Relation, members []int, net *aonet.Network) {
-	if len(members) == 1 {
-		out.Tuples = append(out.Tuples, r.Tuples[members[0]])
-		return
-	}
-	edges := make([]aonet.Edge, 0, len(members))
-	for _, i := range members {
-		edges = append(edges, aonet.Edge{From: r.Tuples[i].Lin, P: r.Tuples[i].P})
-	}
-	lin := net.AddGate(aonet.Or, edges)
-	out.Tuples = append(out.Tuples, Tuple{Vals: r.Tuples[members[0]].Vals, P: 1, Lin: lin})
 }
 
 // ProjectCtx is the full projection of Section 5.3.2: IndProjectCtx then
 // DedupCtx.
 func ProjectCtx(ec *core.ExecContext, r *Relation, cols []string, net *aonet.Network) (*Relation, error) {
-	ind, err := IndProjectCtx(ec, r, cols)
-	if err != nil {
-		return nil, err
-	}
-	return DedupCtx(ec, ind, net)
+	return ProjectStreamCtx(ec, r.Attrs, r.Iter(), cols, net)
 }
 
 // ProjectStreamCtx is ProjectCtx over a tuple stream: independent project
@@ -366,41 +457,4 @@ func ProjectStreamCtx(ec *core.ExecContext, attrs tuple.Schema, it Iterator, col
 		return nil, err
 	}
 	return DedupCtx(ec, ind, net)
-}
-
-// SafeJoinCtx conditions both inputs on their cSets (Theorem 5.16) and then
-// joins them. It returns the join result and the number of offending tuples
-// conditioned, the per-operator distance from data-safety (Definition 3.4).
-// The inputs are cloned, not modified.
-func SafeJoinCtx(ec *core.ExecContext, r1, r2 *Relation, net *aonet.Network) (*Relation, int, error) {
-	shared := r1.Attrs.Shared(r2.Attrs)
-	c1, err := CSetCtx(ec, r1, r2, shared)
-	if err != nil {
-		return nil, 0, err
-	}
-	c2, err := CSetCtx(ec, r2, r1, shared)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(c1) > 0 {
-		r1 = r1.Clone()
-		for _, i := range c1 {
-			if err := CondCtx(ec, r1, i, net); err != nil {
-				return nil, 0, err
-			}
-		}
-	}
-	if len(c2) > 0 {
-		r2 = r2.Clone()
-		for _, i := range c2 {
-			if err := CondCtx(ec, r2, i, net); err != nil {
-				return nil, 0, err
-			}
-		}
-	}
-	joined, err := JoinCtx(ec, r1, r2, net)
-	if err != nil {
-		return nil, 0, err
-	}
-	return joined, len(c1) + len(c2), nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/aonet"
+	"repro/internal/core"
 	"repro/internal/relation"
 	"repro/internal/tuple"
 )
@@ -191,6 +192,29 @@ func TestCondIsNoOpOnCertainTuples(t *testing.T) {
 	if net.Len() != before || r.Tuples[0].Lin != aonet.Epsilon {
 		t.Error("Cond modified a certain tuple")
 	}
+}
+
+// CSetCtx returns the indexes in r1 of the offending tuples with respect to
+// a join with r2 (Definition 5.14): uncertain tuples (p < 1) that join two or
+// more tuples of r2. The operators read both cSets off one joinMatch; this
+// one-sided form is for the tests that state the definition.
+func CSetCtx(ec *core.ExecContext, r1, r2 *Relation, joinCols []string) ([]int, error) {
+	idx1, err := r1.Attrs.Indexes(joinCols)
+	if err != nil {
+		return nil, err
+	}
+	idx2, err := r2.Attrs.Indexes(joinCols)
+	if err != nil {
+		return nil, err
+	}
+	tab := getTable(ec, len(r2.Tuples))
+	defer putTable(ec, tab)
+	m, err := matchJoin(ec, tab, r1, r2, idx1, idx2)
+	if err != nil {
+		return nil, err
+	}
+	c1, _ := m.cSets(r1, r2)
+	return c1, nil
 }
 
 func TestCSetDefinition(t *testing.T) {

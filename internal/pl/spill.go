@@ -435,7 +435,8 @@ func (it *pairBufIter) close() { it.b.close() }
 
 // pairMerge merges pair streams by ascending (i, j). Fan-in is small
 // (spillFanout or a partition's block count), so a linear argmin scan beats
-// a heap.
+// a heap. It is a pairIter itself, so partition streams compose into the
+// top-level merge.
 type pairMerge struct {
 	its   []pairIter
 	heads []pairRec
@@ -515,7 +516,7 @@ func recordPartitions(ec *core.ExecContext, kind string, parts []partStat) {
 // Join
 
 // joinSpill is the bounded-memory join. See the file comment for the
-// ordering argument; the result is byte-identical to joinSerial.
+// ordering argument; the result is byte-identical to joinMatch.emit.
 func joinSpill(ec *core.ExecContext, r1, r2 *Relation, net *aonet.Network, sh joinShape) (*Relation, error) {
 	chk := core.Check{EC: ec}
 	probe := make([]*idxBuf, spillFanout)
@@ -534,7 +535,7 @@ func joinSpill(ec *core.ExecContext, r1, r2 *Relation, net *aonet.Network, sh jo
 		if err := chk.Tick(); err != nil {
 			return nil, err
 		}
-		if err := build[hashPart(t.Vals.KeyAt(sh.idx2), spillFanout)].add(int32(j)); err != nil {
+		if err := build[hashPart(t.Vals.HashAt(sh.idx2), spillFanout, 0)].add(int32(j)); err != nil {
 			return nil, err
 		}
 	}
@@ -542,12 +543,13 @@ func joinSpill(ec *core.ExecContext, r1, r2 *Relation, net *aonet.Network, sh jo
 		if err := chk.Tick(); err != nil {
 			return nil, err
 		}
-		if err := probe[hashPart(t.Vals.KeyAt(sh.idx1), spillFanout)].add(int32(i)); err != nil {
+		if err := probe[hashPart(t.Vals.HashAt(sh.idx1), spillFanout, 0)].add(int32(i)); err != nil {
 			return nil, err
 		}
 	}
 
 	parts := make([]partStat, spillFanout)
+	rows := 0 // the join's size, for the output arena
 	streams := make([]pairIter, 0, spillFanout)
 	closeStreams := func() {
 		for _, it := range streams {
@@ -563,6 +565,7 @@ func joinSpill(ec *core.ExecContext, r1, r2 *Relation, net *aonet.Network, sh jo
 		}
 		streams = append(streams, it)
 		parts[p] = partStat{rows: matches, dur: time.Since(start)}
+		rows += matches
 	}
 	recordPartitions(ec, "join.spill", parts)
 
@@ -572,8 +575,7 @@ func joinSpill(ec *core.ExecContext, r1, r2 *Relation, net *aonet.Network, sh jo
 		return nil, err
 	}
 	defer merged.close()
-	out := &Relation{Attrs: sh.outAttrs}
-	charge := rowCharger{ec: ec}
+	o := newJoinOut(ec, sh, net, rows)
 	for {
 		if err := chk.Tick(); err != nil {
 			return nil, err
@@ -583,22 +585,12 @@ func joinSpill(ec *core.ExecContext, r1, r2 *Relation, net *aonet.Network, sh jo
 			return nil, err
 		}
 		if !ok {
-			break
+			return o.rel, o.charge.flush()
 		}
-		t1, t2 := r1.Tuples[pr.i], r2.Tuples[pr.j]
-		nt, needGate := joinTuple(t1, t2, sh.rest2)
-		if needGate {
-			nt.Lin = net.AddGate(aonet.And, andEdges(t1, t2))
-		}
-		if err := charge.add(1); err != nil {
+		if err := o.add(r1.Tuples[pr.i], r2.Tuples[pr.j]); err != nil {
 			return nil, err
 		}
-		out.Tuples = append(out.Tuples, nt)
 	}
-	if err := charge.flush(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // joinSpillPartition produces one partition's match stream, ascending (i, j),
@@ -618,16 +610,17 @@ func joinSpillPartition(ec *core.ExecContext, probe, build *idxBuf, r1, r2 *Rela
 
 	// Block nested-loop over the build side: each round replays the build
 	// partition, skips the lo entries already consumed, and loads entries
-	// into the bucket table until the charge hook trips (with at least one
+	// into the group table until the charge hook trips (with at least one
 	// per round, so rounds always progress). Blocks are contiguous windows
 	// of the build arrival order — later blocks hold strictly larger j —
 	// and nothing of the build side is resident between rounds, so the
-	// bucket table is the only budget-bounded structure.
+	// table and its member list are the only budget-bounded structures.
 	matches := 0
 	for lo := 0; ; {
-		buckets := getJoinBuckets(ec)
+		tab := getTable(ec, 0)
+		var members []int32 // chained entry e is r2.Tuples[members[e]]
 		var blockCharge int64
-		pos, loaded := 0, 0
+		pos := 0
 		err := build.replay(func(j int32) error {
 			if pos < lo {
 				pos++
@@ -637,26 +630,27 @@ func joinSpillPartition(ec *core.ExecContext, probe, build *idxBuf, r1, r2 *Rela
 			if err := chk.Tick(); err != nil {
 				return err
 			}
-			k := r2.Tuples[j].Vals.KeyAt(sh.idx2)
-			buckets[k] = append(buckets[k], j)
-			c := int64(24 + len(k))
-			blockCharge += c
-			loaded++
-			if ec.ChargeMem(c) {
+			vals := r2.Tuples[j].Vals
+			tab.chain(tab.get(vals.HashAt(sh.idx2), func(id int32) bool {
+				return r2.Tuples[members[tab.ends[id].head]].Vals.KeyEqualAt(sh.idx2, vals, sh.idx2)
+			}, true))
+			members = append(members, j)
+			// One entry: member and chain links, its share of slots and hashes.
+			blockCharge += 32
+			if ec.ChargeMem(32) {
 				return errBlockSealed
 			}
 			return nil
 		})
 		sealed := errors.Is(err, errBlockSealed)
-		if err != nil && !sealed {
-			putJoinBuckets(ec, buckets)
+		failed := err != nil && !sealed
+		if failed || len(members) == 0 {
+			putTable(ec, tab)
 			ec.ReleaseMem(blockCharge)
-			closeBlocks()
-			return nil, 0, err
-		}
-		if loaded == 0 {
-			putJoinBuckets(ec, buckets)
-			ec.ReleaseMem(blockCharge)
+			if failed {
+				closeBlocks()
+				return nil, 0, err
+			}
 			break
 		}
 		bb := &pairBuf{ec: ec}
@@ -664,14 +658,21 @@ func joinSpillPartition(ec *core.ExecContext, probe, build *idxBuf, r1, r2 *Rela
 			if err := chk.Tick(); err != nil {
 				return err
 			}
-			for _, j := range buckets[r1.Tuples[i].Vals.KeyAt(sh.idx1)] {
-				if err := bb.add(pairRec{i: i, j: j}); err != nil {
+			vals := r1.Tuples[i].Vals
+			g, _ := tab.get(vals.HashAt(sh.idx1), func(id int32) bool {
+				return r2.Tuples[members[tab.ends[id].head]].Vals.KeyEqualAt(sh.idx2, vals, sh.idx1)
+			}, false)
+			if g < 0 {
+				return nil
+			}
+			for e := tab.ends[g].head; e >= 0; e = tab.next[e] {
+				if err := bb.add(pairRec{i: i, j: members[e]}); err != nil {
 					return err
 				}
 			}
 			return nil
 		})
-		putJoinBuckets(ec, buckets)
+		putTable(ec, tab)
 		ec.ReleaseMem(blockCharge)
 		if err != nil {
 			bb.close()
@@ -680,7 +681,7 @@ func joinSpillPartition(ec *core.ExecContext, probe, build *idxBuf, r1, r2 *Rela
 		}
 		matches += bb.count
 		blocks = append(blocks, bb)
-		lo += loaded
+		lo += len(members)
 		if !sealed {
 			break
 		}
@@ -713,15 +714,8 @@ func joinSpillPartition(ec *core.ExecContext, probe, build *idxBuf, r1, r2 *Rela
 		}
 		return nil, 0, err
 	}
-	return &mergeAsIter{m: m}, matches, nil
+	return m, matches, nil
 }
-
-// mergeAsIter adapts a pairMerge to the pairIter interface so partition
-// streams compose into the top-level merge.
-type mergeAsIter struct{ m *pairMerge }
-
-func (a *mergeAsIter) next() (pairRec, bool, error) { return a.m.next() }
-func (a *mergeAsIter) close()                       { a.m.close() }
 
 // ---------------------------------------------------------------------------
 // Dedup
@@ -981,46 +975,35 @@ func (m *groupMerge) close() {
 	}
 }
 
-type mergeAsGroupIter struct{ m *groupMerge }
-
-func (a *mergeAsGroupIter) next() (groupRec, bool, error) { return a.m.next() }
-func (a *mergeAsGroupIter) close()                        { a.m.close() }
-
-// hashPart assigns a grouping key to one of w partitions (FNV-1a).
-func hashPart(s string, w int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return int(h % uint64(w))
-}
-
-// hashPartSeed is hashPart with a level-dependent seed, so a partition that
+// hashPart assigns a key hash (tuple.Tuple.HashAt) to one of w partitions.
+// The hash is remixed with a level-dependent seed, so a partition that
 // recurses redistributes its keys instead of sending them all to one
-// sub-partition again.
-func hashPartSeed(s string, w int, seed uint64) int {
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037) ^ (seed+1)*prime64
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return int(h % uint64(w))
+// sub-partition again, and so the bits a partition's own group table indexes
+// by stay spread within it.
+func hashPart(h uint64, w int, seed uint64) int {
+	h = (h ^ (seed+1)*0x9E3779B97F4A7C15) * 0xFF51AFD7ED558CCD
+	return int((h >> 32) % uint64(w))
 }
 
 // dedupSpill is the bounded-memory dedup over an input stream: partition by
 // full-tuple key, group each partition (recursing while over budget), merge
-// group streams by first arrival, allocate Or gates in merge order. The
-// groups counter (when non-nil) accumulates per-top-partition group counts
-// for trace sub-spans.
+// group streams by first arrival, allocate Or gates in merge order.
 func dedupSpill(ec *core.ExecContext, attrs tuple.Schema, src Iterator, net *aonet.Network) (*Relation, error) {
 	chk := core.Check{EC: ec}
-	stream, parts, err := dedupPartitionStream(ec, src, 0, 0)
+	stream, parts, err := dedupPartition(ec, 0, positions(len(attrs)), func(add func(tupleRec) error) error {
+		for seq := int32(0); ; seq++ { // records are numbered by arrival
+			if err := chk.Tick(); err != nil {
+				return err
+			}
+			t, ok, err := src.Next()
+			if err != nil || !ok {
+				return err
+			}
+			if err := add(tupleRec{seq: seq, t: t}); err != nil {
+				return err
+			}
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -1048,11 +1031,10 @@ func dedupSpill(ec *core.ExecContext, attrs tuple.Schema, src Iterator, net *aon
 	return out, nil
 }
 
-// dedupPartitionStream partitions src (a stream of tuples whose sequence
-// numbers start at seqBase for the top level, or carry through recursion)
-// and returns the merged group stream. At level 0 it also returns per-
-// partition trace measurements.
-func dedupPartitionStream(ec *core.ExecContext, src Iterator, level int, _ int32) (groupIter, []partStat, error) {
+// dedupPartition spreads the records feed produces over the level's
+// partitions by key hash (all: every position of a tuple) and returns the
+// merged group stream with the per-partition trace measurements.
+func dedupPartition(ec *core.ExecContext, level int, all []int, feed func(add func(tupleRec) error) error) (groupIter, []partStat, error) {
 	fan := spillFanout
 	if level > 0 {
 		fan = dedupSubFanout
@@ -1061,68 +1043,20 @@ func dedupPartitionStream(ec *core.ExecContext, src Iterator, level int, _ int32
 	for p := range parts {
 		parts[p] = &tupleBuf{ec: ec}
 	}
-	closeParts := func() {
-		for _, b := range parts {
-			b.close()
-		}
-	}
-	chk := core.Check{EC: ec}
-	seq := int32(0)
-	for {
-		if err := chk.Tick(); err != nil {
-			closeParts()
-			return nil, nil, err
-		}
-		t, ok, err := src.Next()
-		if err != nil {
-			closeParts()
-			return nil, nil, err
-		}
-		if !ok {
-			break
-		}
-		p := hashPartSeed(t.Vals.Key(), fan, uint64(level))
-		if err := parts[p].add(tupleRec{seq: seq, t: t}); err != nil {
-			closeParts()
-			return nil, nil, err
-		}
-		seq++
-	}
-	return dedupMergePartitions(ec, parts, level)
-}
-
-// dedupRecordStream re-partitions an overflowing partition's records
-// (sequence numbers preserved) one level deeper.
-func dedupRecordStream(ec *core.ExecContext, buf *tupleBuf, level int) (groupIter, error) {
-	// Move the overflowing partition fully to disk before re-partitioning:
-	// its records are about to be charged again inside the sub-partitions,
-	// and keeping the parent resident would double-charge them.
-	if err := buf.flush(); err != nil {
-		return nil, err
-	}
-	fan := dedupSubFanout
-	parts := make([]*tupleBuf, fan)
-	for p := range parts {
-		parts[p] = &tupleBuf{ec: ec}
-	}
-	closeParts := func() {
-		for _, b := range parts {
-			b.close()
-		}
-	}
-	if err := buf.replay(func(r tupleRec) error {
-		return parts[hashPartSeed(r.t.Vals.Key(), fan, uint64(level))].add(r)
+	if err := feed(func(r tupleRec) error {
+		return parts[hashPart(r.t.Vals.HashAt(all), fan, uint64(level))].add(r)
 	}); err != nil {
-		closeParts()
-		return nil, err
+		for _, b := range parts {
+			b.close()
+		}
+		return nil, nil, err
 	}
-	it, _, err := dedupMergePartitions(ec, parts, level)
-	return it, err
+	return dedupMergePartitions(ec, parts, level, all)
 }
 
 // dedupMergePartitions groups every partition (recursing past the budget
 // while depth remains) and merges the resulting group streams.
-func dedupMergePartitions(ec *core.ExecContext, parts []*tupleBuf, level int) (groupIter, []partStat, error) {
+func dedupMergePartitions(ec *core.ExecContext, parts []*tupleBuf, level int, all []int) (groupIter, []partStat, error) {
 	stats := make([]partStat, len(parts))
 	its := make([]groupIter, 0, len(parts))
 	closeIts := func() {
@@ -1151,7 +1085,7 @@ func dedupMergePartitions(ec *core.ExecContext, parts []*tupleBuf, level int) (g
 	}
 	for p, buf := range parts {
 		start := time.Now()
-		it, groups, err := dedupGroupPartition(ec, buf, level)
+		it, groups, err := dedupGroupPartition(ec, buf, level, all)
 		buf.close()
 		if err != nil {
 			closeIts()
@@ -1168,7 +1102,7 @@ func dedupMergePartitions(ec *core.ExecContext, parts []*tupleBuf, level int) (g
 		closeIts()
 		return nil, nil, err
 	}
-	return &mergeAsGroupIter{m: m}, stats, nil
+	return m, stats, nil
 }
 
 // dedupGroupPartition turns one partition's records into an ordered group
@@ -1176,12 +1110,10 @@ func dedupMergePartitions(ec *core.ExecContext, parts []*tupleBuf, level int) (g
 // recursion depth remains, it abandons the table and re-partitions with a
 // fresh hash seed. At the recursion cap it groups in memory regardless —
 // the budget floor term (see docs/SPILL.md).
-func dedupGroupPartition(ec *core.ExecContext, buf *tupleBuf, level int) (groupIter, int, error) {
-	type group struct {
-		rec groupRec
-	}
-	table := make(map[string]*group)
-	var order []string
+func dedupGroupPartition(ec *core.ExecContext, buf *tupleBuf, level int, all []int) (groupIter, int, error) {
+	tab := getTable(ec, 0)
+	defer putTable(ec, tab)
+	var recs []groupRec // by group id, which is first-occurrence order
 	var charged int64
 	release := func() {
 		ec.ReleaseMem(charged)
@@ -1189,20 +1121,19 @@ func dedupGroupPartition(ec *core.ExecContext, buf *tupleBuf, level int) (groupI
 	}
 	overflow := false
 	err := buf.replay(func(r tupleRec) error {
-		k := r.t.Vals.Key()
-		g, ok := table[k]
-		if !ok {
-			g = &group{rec: groupRec{first: r.seq, vals: r.t.Vals}}
-			table[k] = g
-			order = append(order, k)
-			c := int64(48 + len(k)) + approxTupleBytes(r.t)
+		g, fresh := tab.get(r.t.Vals.HashAt(all), func(id int32) bool {
+			return recs[id].vals.KeyEqualAt(all, r.t.Vals, all)
+		}, true)
+		if fresh {
+			recs = append(recs, groupRec{first: r.seq, vals: r.t.Vals})
+			c := 56 + approxTupleBytes(r.t) // record header and table entry
 			charged += c
 			if ec.ChargeMem(c) && level < dedupMaxDepth {
 				overflow = true
 				return errDedupOverflow
 			}
 		}
-		g.rec.members = append(g.rec.members, aonet.Edge{From: r.t.Lin, P: r.t.P})
+		recs[g].members = append(recs[g].members, aonet.Edge{From: r.t.Lin, P: r.t.P})
 		c := int64(16)
 		charged += c
 		if ec.ChargeMem(c) && level < dedupMaxDepth {
@@ -1219,17 +1150,21 @@ func dedupGroupPartition(ec *core.ExecContext, buf *tupleBuf, level int) (groupI
 		release()
 		// The group count is unknown without draining the recursive stream;
 		// the trace sub-span reports 0 rows for a recursed partition.
-		it, err := dedupRecordStream(ec, buf, level+1)
-		if err != nil {
+		// Move the overflowing partition fully to disk before re-partitioning
+		// it one level deeper (sequence numbers preserved): its records are
+		// about to be charged again inside the sub-partitions, and keeping
+		// the parent resident would double-charge them.
+		if err := buf.flush(); err != nil {
 			return nil, 0, err
 		}
-		return it, 0, nil
+		it, _, err := dedupPartition(ec, level+1, all, buf.replay)
+		return it, 0, err
 	}
 	// Emit in first-occurrence order into a (possibly spilling) group
 	// buffer, releasing the table charge as we go.
 	gb := &groupBuf{ec: ec}
-	for _, k := range order {
-		if err := gb.add(table[k].rec); err != nil {
+	for _, rec := range recs {
+		if err := gb.add(rec); err != nil {
 			release()
 			gb.close()
 			return nil, 0, err
@@ -1241,7 +1176,7 @@ func dedupGroupPartition(ec *core.ExecContext, buf *tupleBuf, level int) (groupI
 		gb.close()
 		return nil, 0, err
 	}
-	return it, len(order), nil
+	return it, len(recs), nil
 }
 
 // errDedupOverflow is the internal signal that a partition's group table hit

@@ -57,9 +57,11 @@ func spillSlack(joined *Relation) int64 {
 	}
 	counts := make(map[string]int)
 	bytesOf := make(map[string]int64)
+	hashOf := make(map[string]uint64)
 	for _, tp := range ind.Tuples {
 		k := tp.Vals.Key()
 		counts[k]++
+		hashOf[k] = tp.Vals.HashAt(positions(len(tp.Vals)))
 		if _, ok := bytesOf[k]; !ok {
 			var vb int64
 			for _, v := range tp.Vals {
@@ -79,11 +81,11 @@ func spillSlack(joined *Relation) int64 {
 		// salted sub-splits. Its at-cap table entry mirrors the charges of
 		// dedupGroupPartition: the group header plus one edge per member.
 		bin := [3]int{
-			hashPartSeed(k, spillFanout, 0),
-			hashPartSeed(k, dedupSubFanout, 1),
-			hashPartSeed(k, dedupSubFanout, 2),
+			hashPart(hashOf[k], spillFanout, 0),
+			hashPart(hashOf[k], dedupSubFanout, 1),
+			hashPart(hashOf[k], dedupSubFanout, 2),
 		}
-		bins[bin] += 48 + int64(len(k)) + (40 + bytesOf[k]) + 16*int64(n)
+		bins[bin] += 56 + (40 + bytesOf[k]) + 16*int64(n)
 	}
 	var maxBin int64
 	for _, b := range bins {
@@ -171,7 +173,7 @@ func maxInt64(a, b int64) int64 {
 	return b
 }
 
-// TestSpillPooledIdentical: the spill paths draw bucket tables from the
+// TestSpillPooledIdentical: the spill paths draw group tables from the
 // scratch pools like the in-memory paths; pooling must not perturb results.
 func TestSpillPooledIdentical(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {

@@ -52,8 +52,9 @@ func (t Tuple) Compare(u Tuple) int {
 	return 0
 }
 
-// Key returns a canonical string key for the tuple, suitable for map keys in
-// hash joins and grouping. Distinct tuples produce distinct keys.
+// Key returns a canonical string key for the tuple, for display, answer maps
+// and reference code; the operators key on HashAt and KeyEqualAt instead.
+// Distinct tuples produce distinct keys.
 func (t Tuple) Key() string {
 	b := make([]byte, 0, 8*len(t))
 	for _, v := range t {
@@ -72,6 +73,32 @@ func (t Tuple) KeyAt(idx []int) string {
 		b = append(b, '|')
 	}
 	return string(b)
+}
+
+// HashAt returns a 64-bit hash of the values at the given positions, the
+// operators' join and grouping key. Projections that are key-equal
+// (KeyEqualAt) hash equally; the converse does not hold, so every user
+// verifies a hash match with KeyEqualAt.
+func (t Tuple) HashAt(idx []int) uint64 {
+	h := uint64(len(idx))
+	for _, i := range idx {
+		h = t[i].hash(h)
+	}
+	return h
+}
+
+// KeyEqualAt reports whether t at positions idx and u at positions jdx are
+// key-equal value by value: exactly when t.KeyAt(idx) == u.KeyAt(jdx).
+func (t Tuple) KeyEqualAt(idx []int, u Tuple, jdx []int) bool {
+	if len(idx) != len(jdx) {
+		return false
+	}
+	for k, i := range idx {
+		if !t[i].KeyEqual(u[jdx[k]]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Project returns a new tuple holding the values at the given positions.
@@ -159,11 +186,4 @@ func (s Schema) Clone() Schema {
 	out := make(Schema, len(s))
 	copy(out, s)
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,7 +1,10 @@
 package tuple
 
 import (
+	"math"
+	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -260,5 +263,104 @@ func TestTupleCompareIsTotalOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// keyPalette is the crosscheck generator's value domain (small ints) as all
+// three kinds, plus the values a typed key is most likely to get wrong: NaN
+// (key-equal to itself though not ==), both zeros, the empty string, and
+// strings around the hash's eight-byte word.
+func keyPalette() []Value {
+	nan := math.NaN()
+	vs := []Value{
+		Float(nan), Float(math.Float64frombits(math.Float64bits(nan) ^ 1)), ParseValue("NaN"),
+		Float(0), Float(math.Copysign(0, -1)), ParseValue("-0.0"), Int(0), Int(-1), Float(-1),
+		Float(math.Inf(1)), Float(math.Inf(-1)), Int(math.MinInt64), Int(math.MaxInt64),
+		String(""), String("|"), String("i1"), String("1|"), String("NaN"),
+		String("abcdefg"), String("abcdefgh"), String("abcdefgh\x00"), String("abcdefghi"),
+		String("abcdefghabcdefgh"), String("\x00"), String("\x00\x00"),
+	}
+	for i := int64(0); i < 8; i++ {
+		vs = append(vs, Int(i), Float(float64(i)), String(strconv.FormatInt(i, 10)))
+	}
+	return vs
+}
+
+// TestKeyEqualityContract: key-equal ⇔ equal AppendKey encodings, and
+// key-equal ⇒ equal hash, for every pair of palette values and for random
+// tuples over the palette at random positions on either side.
+func TestKeyEqualityContract(t *testing.T) {
+	vs := keyPalette()
+	for _, v := range vs {
+		for _, w := range vs {
+			enc := string(v.AppendKey(nil)) == string(w.AppendKey(nil))
+			if v.KeyEqual(w) != enc {
+				t.Errorf("KeyEqual(%v %v, %v %v) = %v, encodings equal = %v", v.Kind(), v, w.Kind(), w, !enc, enc)
+			}
+			if enc && v.hash(7) != w.hash(7) {
+				t.Errorf("%v %v and %v %v are key-equal but hash apart", v.Kind(), v, w.Kind(), w)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	randTuple := func(n int) Tuple {
+		out := make(Tuple, n)
+		for i := range out {
+			out[i] = vs[rng.Intn(len(vs))]
+		}
+		return out
+	}
+	equal := 0
+	for trial := 0; trial < 20000; trial++ {
+		a, b := randTuple(1+rng.Intn(4)), randTuple(1+rng.Intn(4))
+		idx, jdx := rng.Perm(len(a))[:rng.Intn(len(a)+1)], rng.Perm(len(b))[:rng.Intn(len(b)+1)]
+		if trial%2 == 0 && len(idx) <= len(b) {
+			// Make the sides agree half the time, or equality is never hit.
+			jdx = rng.Perm(len(b))[:len(idx)]
+			for k, i := range idx {
+				b[jdx[k]] = a[i]
+			}
+		}
+		enc := a.KeyAt(idx) == b.KeyAt(jdx)
+		if got := a.KeyEqualAt(idx, b, jdx); got != enc {
+			t.Fatalf("%v at %v, %v at %v: KeyEqualAt = %v, KeyAt equal = %v", a, idx, b, jdx, got, enc)
+		}
+		if enc {
+			equal++
+			if a.HashAt(idx) != b.HashAt(jdx) {
+				t.Fatalf("%v at %v, %v at %v: key-equal but HashAt differs", a, idx, b, jdx)
+			}
+		}
+	}
+	if equal < 1000 {
+		t.Fatalf("only %d key-equal pairs drawn: the hash half of the contract went unexercised", equal)
+	}
+}
+
+// TestHashSpreads: the hash is only speed, but it has to be some: distinct
+// palette tuples rarely share one, and consecutive integers do not crowd the
+// high bits an open-addressing table indexes by.
+func TestHashSpreads(t *testing.T) {
+	vs := keyPalette()
+	seen := make(map[uint64]string)
+	all := []int{0, 1}
+	for _, v := range vs {
+		for _, w := range vs {
+			tp := Of(v, w)
+			h, k := tp.HashAt(all), tp.Key()
+			if prev, ok := seen[h]; ok && prev != k {
+				t.Errorf("%q and %q share hash %x", prev, k, h)
+			}
+			seen[h] = k
+		}
+	}
+	var buckets [256]int
+	for i := int64(0); i < 256*64; i++ {
+		buckets[Ints(i).HashAt(all[:1])>>56]++
+	}
+	for b, n := range buckets {
+		if n < 16 || n > 256 {
+			t.Errorf("bucket %d of 256 holds %d of %d consecutive ints (64 expected)", b, n, 256*64)
+		}
 	}
 }

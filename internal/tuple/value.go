@@ -3,12 +3,16 @@
 //
 // Values are small immutable scalars (int64, float64 or string). Tuples are
 // fixed-width sequences of values, and schemas name the positions of a tuple.
-// The package also provides canonical map keys and ordering for tuples, which
-// the executor uses for hash joins and grouping.
+// The package also provides ordering, and the key the executor joins and
+// groups on: a 64-bit hash over typed values (Tuple.HashAt) plus the equality
+// it must be verified with (Tuple.KeyEqualAt). The canonical key strings
+// (Tuple.Key, Value.AppendKey) define that equality and stay for display,
+// cache keys and reference code.
 package tuple
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -176,6 +180,53 @@ func (v Value) AppendKey(b []byte) []byte {
 		b = append(b, v.s...)
 	}
 	return b
+}
+
+// KeyEqual reports whether v and w have the same AppendKey encoding. It is
+// Equal except that NaN is key-equal to NaN, as the encodings are; negative
+// zero needs no case because Float never stores one.
+func (v Value) KeyEqual(w Value) bool {
+	return v == w || (v.kind == KindFloat && w.kind == KindFloat && v.f != v.f && w.f != w.f)
+}
+
+// hashMul is 2^64 divided by the golden ratio: multiplying by it spreads
+// consecutive integers over the high bits.
+const hashMul = 0x9E3779B97F4A7C15
+
+func mix(h, x uint64) uint64 {
+	h = (h ^ x) * hashMul
+	return h ^ h>>32
+}
+
+// kindSalt keeps Int 1, Float 1 and "1" apart in the hash as they are in the
+// key; arbitrary odd constants, so no small payload undoes the difference.
+var kindSalt = [...]uint64{KindInt: 0xC2B2AE3D27D4EB4F, KindFloat: 0x165667B19E3779F9, KindString: 0xD6E8FEB86659FD93}
+
+// hash folds v into h so that key-equal values fold equally: the kind is
+// part of the hash, every NaN hashes as one, and strings go in eight bytes
+// at a time with their length.
+func (v Value) hash(h uint64) uint64 {
+	h ^= kindSalt[v.kind]
+	switch v.kind {
+	case KindInt:
+		return mix(h, uint64(v.i))
+	case KindFloat:
+		if v.f != v.f {
+			return mix(h, math.Float64bits(math.NaN()))
+		}
+		return mix(h, math.Float64bits(v.f))
+	}
+	s := v.s
+	h = mix(h, uint64(len(s)))
+	for ; len(s) >= 8; s = s[8:] {
+		h = mix(h, uint64(s[0])|uint64(s[1])<<8|uint64(s[2])<<16|uint64(s[3])<<24|
+			uint64(s[4])<<32|uint64(s[5])<<40|uint64(s[6])<<48|uint64(s[7])<<56)
+	}
+	var tail uint64
+	for i := 0; i < len(s); i++ {
+		tail |= uint64(s[i]) << (8 * i)
+	}
+	return mix(h, tail)
 }
 
 // ParseValue interprets s as an int, then a float, then falls back to a
