@@ -1,14 +1,22 @@
 // Package docscheck keeps the repository's documentation honest: it is a
 // test-only package whose checks run in CI (the docs job) alongside go vet.
 //
-// Two invariants are enforced:
+// Three invariants are enforced here and in flags_test.go:
 //
 //   - every relative markdown link in the top-level docs (README.md,
 //     DESIGN.md, EXPERIMENTS.md, ROADMAP.md, docs/*.md) resolves to a file
 //     that exists in the repository;
 //   - every metric family exported by internal/obs.MetricNames is
 //     documented by name in docs/OBSERVABILITY.md, so the metric inventory
-//     there can be trusted as complete.
+//     there can be trusted as complete;
+//   - every -flag on a doc line that invokes one of the cmd/* binaries, by
+//     bare name or as go run ./cmd/<bin>, is a flag that binary defines (a
+//     cmd/<bin> source path is not an invocation), and pdbrun, pdbbench
+//     and pdbserve all define -mem-budget.
+//
+// The other files pin the rest: option and ablation-switch names
+// (options_test.go), doc comments on exported symbols (godoc_test.go) and
+// the tutorial's transcripts (tutorial_test.go).
 package docscheck
 
 import (

@@ -14,6 +14,11 @@ import (
 // invokes one of this repository's binaries (pdbrun, pdbserve, ...) must be
 // a flag that binary actually defines, and every inline-code flag in
 // docs/SERVER.md must exist on pdbserve (its flag table names no binary).
+// A line invokes a binary in one of two forms: the bare name ("pdbrun
+// -explain") or the package path that go run and go build take ("go run
+// ./cmd/pdbrun -explain"). A source path such as cmd/pdbbench or
+// cmd/pdbrun/main.go names the code, not a command line, so the flags
+// beside it (say, go test's -tags) are not that binary's.
 
 // flagDef matches the standard flag-package definition forms.
 var flagDef = regexp.MustCompile(`flag\.(?:String|Bool|Int|Int64|Float64|Duration)\("([^"]+)"`)
@@ -57,7 +62,8 @@ func binaryFlags(t *testing.T, root string) map[string]map[string]bool {
 }
 
 var (
-	// binaryInvocation finds "pdbrun" or "go run ./cmd/pdbrun" on a line.
+	// binaryInvocation finds a binary name on a line; invokedBinary drops
+	// the matches that are source paths ("cmd/pdbrun", "cmd/pdbrun/main.go").
 	binaryInvocation = regexp.MustCompile(`\b(pdbrun|pdbserve|pdbbench|pdbshell|pdbfuzz|pdbgen)\b`)
 	// flagToken is a candidate CLI flag.
 	flagToken = regexp.MustCompile(`^-([a-z][a-z0-9-]*)$`)
@@ -68,6 +74,41 @@ var (
 	// flag table, which names no binary).
 	inlineFlag = regexp.MustCompile("`-([a-z][a-z0-9-]*)`")
 )
+
+// invokedBinary returns the binary a doc line invokes, or "" when it invokes
+// none. A name preceded by "/" counts only under "./cmd/", the package path
+// form; any other path is a source path. A line mentioning exactly one binary
+// attributes every flag token on it to that binary; multi-binary lines are
+// prose, skipped (each binary's own example lines cover them).
+func invokedBinary(line string) string {
+	var bins []string
+	for _, m := range binaryInvocation.FindAllStringSubmatchIndex(line, -1) {
+		before := line[:m[0]]
+		if strings.HasSuffix(before, "/") && !strings.HasSuffix(before, "./cmd/") {
+			continue
+		}
+		bins = append(bins, line[m[2]:m[3]])
+	}
+	if len(bins) != 1 {
+		return ""
+	}
+	return bins[0]
+}
+
+func TestInvokedBinary(t *testing.T) {
+	for _, tc := range []struct {
+		line, want string
+	}{
+		{"| seven legacy `BENCH_*.json` with their writers (`internal/experiments` 1 809 lines, `cmd/pdbbench` 336) sit beside the harness; ratio gates run only under `-tags perfsmoke` | tree |", ""},
+		{"`go run ./cmd/pdbbench -experiment cache`", "pdbbench"},
+		{"`pdbrun -explain`", "pdbrun"},
+		{"the flags are parsed in `cmd/pdbrun/main.go`", ""},
+	} {
+		if got := invokedBinary(tc.line); got != tc.want {
+			t.Errorf("invokedBinary(%q) = %q, want %q", tc.line, got, tc.want)
+		}
+	}
+}
 
 func TestDocumentedFlagsExist(t *testing.T) {
 	root := repoRoot(t)
@@ -82,17 +123,10 @@ func TestDocumentedFlagsExist(t *testing.T) {
 		// logical invocation.
 		text := strings.ReplaceAll(string(data), "\\\n", " ")
 		for n, line := range strings.Split(text, "\n") {
-			bins := binaryInvocation.FindAllStringSubmatch(line, -1)
-			if len(bins) == 0 {
+			bin := invokedBinary(line)
+			if bin == "" {
 				continue
 			}
-			// A line mentioning exactly one binary attributes every flag
-			// token on it to that binary; multi-binary lines are prose,
-			// skipped (each binary's own example lines cover them).
-			if len(bins) > 1 {
-				continue
-			}
-			bin := bins[0][1]
 			for _, tok := range strings.Fields(quoted.ReplaceAllString(line, "''")) {
 				tok = strings.Trim(tok, "`\"().,;:")
 				m := flagToken.FindStringSubmatch(tok)
