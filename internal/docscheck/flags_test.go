@@ -65,8 +65,9 @@ var (
 	// binaryInvocation finds a binary name on a line; invokedBinary drops
 	// the matches that are source paths ("cmd/pdbrun", "cmd/pdbrun/main.go").
 	binaryInvocation = regexp.MustCompile(`\b(pdbrun|pdbserve|pdbbench|pdbshell|pdbfuzz|pdbgen)\b`)
-	// flagToken is a candidate CLI flag.
-	flagToken = regexp.MustCompile(`^-([a-z][a-z0-9-]*)$`)
+	// flagToken is a candidate CLI flag, bare or with its value attached
+	// ("-experiment=fig5"); only the name is checked.
+	flagToken = regexp.MustCompile(`^-([a-z][a-z0-9-]*)(?:=.*)?$`)
 	// quoted strips single-quoted argument payloads (query text contains
 	// ":-" and spaces that would confuse tokenization).
 	quoted = regexp.MustCompile(`'[^']*'`)
@@ -106,6 +107,26 @@ func TestInvokedBinary(t *testing.T) {
 	} {
 		if got := invokedBinary(tc.line); got != tc.want {
 			t.Errorf("invokedBinary(%q) = %q, want %q", tc.line, got, tc.want)
+		}
+	}
+}
+
+func TestFlagToken(t *testing.T) {
+	for _, tc := range []struct {
+		tok, want string
+	}{
+		{"-explain", "explain"},
+		{"-experiment=table1", "experiment"},
+		{"-mem-budget=65536", "mem-budget"},
+		{"-1", ""},
+		{"--", ""},
+	} {
+		got := ""
+		if m := flagToken.FindStringSubmatch(tc.tok); m != nil {
+			got = m[1]
+		}
+		if got != tc.want {
+			t.Errorf("flagToken(%q) = %q, want %q", tc.tok, got, tc.want)
 		}
 	}
 }

@@ -19,7 +19,6 @@ package pl
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/aonet"
 	"repro/internal/relation"
@@ -127,17 +126,4 @@ func (r *Relation) String() string {
 		s += fmt.Sprintf("  %v p=%.6g l=%s\n", t.Vals, t.P, lin)
 	}
 	return s
-}
-
-// sortTupleIndexes returns 0..n-1 sorted by tuple value, for canonical
-// iteration in Distribution.
-func (r *Relation) sortTupleIndexes() []int {
-	idx := make([]int, len(r.Tuples))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		return r.Tuples[idx[a]].Vals.Compare(r.Tuples[idx[b]].Vals) < 0
-	})
-	return idx
 }

@@ -230,125 +230,80 @@ func approxTupleBytes(t Tuple) int64 {
 // order is preserved across the flush boundary (file contents first, then
 // the still-buffered tail), which every ordering argument above relies on.
 
-// idxBuf buffers arrival indexes (one side of a join partition).
-type idxBuf struct {
+// recCodec is what one record kind of codec.go needs from a spill buffer:
+// its kind byte, its encoder and decoder, and the bytes a resident record
+// charges against the budget.
+type recCodec[R any] struct {
+	kind   byte
+	append func([]byte, R) []byte
+	read   func(*recDecoder) (R, error)
+	charge func(R) int64
+}
+
+var (
+	// indexCodec: arrival indexes, one side of a join partition.
+	indexCodec = &recCodec[int32]{recKindIndex, appendIndexRec, (*recDecoder).readIndexRec,
+		func(int32) int64 { return 8 }}
+	// pairCodec: matched join pairs, ascending (i, j) by construction
+	// (probe order per build block).
+	pairCodec = &recCodec[pairRec]{recKindPair, appendPairRec, (*recDecoder).readPairRec,
+		func(pairRec) int64 { return 8 }}
+	// tupleCodec: full pL-tuples with their arrival sequence (dedup
+	// partitions; the input may be a stream, so records carry their data).
+	tupleCodec = &recCodec[tupleRec]{recKindTuple, appendTupleRec, (*recDecoder).readTupleRec,
+		func(r tupleRec) int64 { return approxTupleBytes(r.t) }}
+	// groupCodec: finished dedup groups in ascending first-arrival order.
+	groupCodec = &recCodec[groupRec]{recKindGroup, appendGroupRec, (*recDecoder).readGroupRec,
+		approxGroupBytes}
+)
+
+func approxGroupBytes(g groupRec) int64 {
+	n := int64(48) + int64(16*len(g.members))
+	for _, v := range g.vals {
+		n += approxValueBytes(v)
+	}
+	return n
+}
+
+// spillBuf buffers records of one kind.
+type spillBuf[R any] struct {
 	ec      *core.ExecContext
-	mem     []int32
+	codec   *recCodec[R]
+	mem     []R
 	file    *spillFile
 	charged int64
 	scratch []byte
 	count   int
 }
 
-func (b *idxBuf) add(seq int32) error {
+func newSpillBuf[R any](ec *core.ExecContext, c *recCodec[R]) *spillBuf[R] {
+	return &spillBuf[R]{ec: ec, codec: c}
+}
+
+func (b *spillBuf[R]) add(r R) error {
 	b.count++
 	if b.file != nil {
 		// Sticky spill: once the buffer has overflowed, later records
 		// stream straight to the file instead of re-accumulating heap.
-		b.scratch = appendIndexRec(b.scratch[:0], seq)
-		return b.file.write(b.ec, b.scratch)
-	}
-	b.mem = append(b.mem, seq)
-	b.charged += 8
-	if b.ec.ChargeMem(8) {
-		return b.flush()
-	}
-	return nil
-}
-
-func (b *idxBuf) flush() error {
-	if len(b.mem) == 0 {
-		return nil
-	}
-	if b.file == nil {
-		f, err := newSpillFile()
-		if err != nil {
-			return err
-		}
-		b.file = f
-		b.ec.AddSpillPartitions(1)
-	}
-	for _, seq := range b.mem {
-		b.scratch = appendIndexRec(b.scratch[:0], seq)
-		if err := b.file.write(b.ec, b.scratch); err != nil {
-			return err
-		}
-	}
-	b.mem = b.mem[:0]
-	b.ec.ReleaseMem(b.charged)
-	b.charged = 0
-	return nil
-}
-
-// replay streams the buffered indexes in arrival order; it may be called
-// repeatedly (block nested-loop re-probes).
-func (b *idxBuf) replay(f func(seq int32) error) error {
-	if b.file != nil {
-		d, err := b.file.reader()
-		if err != nil {
-			return err
-		}
-		for {
-			kind, ok, err := d.readKind()
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrSpill, err)
-			}
-			if !ok {
-				break
-			}
-			if kind != recKindIndex {
-				return fmt.Errorf("%w: unexpected record kind in index stream", ErrSpill)
-			}
-			seq, err := d.readIndexRec()
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrSpill, err)
-			}
-			if err := f(seq); err != nil {
-				return err
-			}
-		}
-	}
-	for _, seq := range b.mem {
-		if err := f(seq); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (b *idxBuf) close() {
-	b.file.close()
-	b.ec.ReleaseMem(b.charged)
-	b.charged = 0
-	b.mem = nil
-}
-
-// pairBuf buffers matched join pairs, already ordered ascending (i, j) by
-// construction (probe order per build block).
-type pairBuf struct {
-	ec      *core.ExecContext
-	mem     []pairRec
-	file    *spillFile
-	charged int64
-	scratch []byte
-	count   int
-}
-
-func (b *pairBuf) add(r pairRec) error {
-	b.count++
-	if b.file != nil {
-		b.scratch = appendPairRec(b.scratch[:0], r)
-		return b.file.write(b.ec, b.scratch)
+		return b.write(r)
 	}
 	b.mem = append(b.mem, r)
-	b.charged += 8
-	if b.ec.ChargeMem(8) {
+	c := b.codec.charge(r)
+	b.charged += c
+	if b.ec.ChargeMem(c) {
 		return b.flush()
 	}
 	return nil
 }
 
-func (b *pairBuf) flush() error {
+func (b *spillBuf[R]) write(r R) error {
+	b.scratch = b.codec.append(b.scratch[:0], r)
+	return b.file.write(b.ec, b.scratch)
+}
+
+// flush moves the resident records to the buffer's file, creating it on
+// first use, and releases their charge.
+func (b *spillBuf[R]) flush() error {
 	if len(b.mem) == 0 {
 		return nil
 	}
@@ -361,8 +316,7 @@ func (b *pairBuf) flush() error {
 		b.ec.AddSpillPartitions(1)
 	}
 	for _, r := range b.mem {
-		b.scratch = appendPairRec(b.scratch[:0], r)
-		if err := b.file.write(b.ec, b.scratch); err != nil {
+		if err := b.write(r); err != nil {
 			return err
 		}
 	}
@@ -372,29 +326,48 @@ func (b *pairBuf) flush() error {
 	return nil
 }
 
-func (b *pairBuf) close() {
+func (b *spillBuf[R]) close() {
 	b.file.close()
 	b.ec.ReleaseMem(b.charged)
 	b.charged = 0
 	b.mem = nil
 }
 
-// pairIter streams pairRecs ascending (i, j).
-type pairIter interface {
-	next() (pairRec, bool, error)
+// replay streams the buffered records in arrival order; it may be called
+// repeatedly (block nested-loop re-probes, dedup recursion).
+func (b *spillBuf[R]) replay(f func(R) error) error {
+	it, err := b.iter()
+	if err != nil {
+		return err
+	}
+	for {
+		r, ok, err := it.next()
+		if err != nil || !ok {
+			return err
+		}
+		if err := f(r); err != nil {
+			return err
+		}
+	}
+}
+
+// recIter streams records in a kind-specific order: arrival order for a
+// buffer, the merge's order for a merge.
+type recIter[R any] interface {
+	next() (R, bool, error)
 	close()
 }
 
-// pairBufIter streams a pairBuf once: file records first, then the resident
-// tail — arrival order, which for a pairBuf is ascending (i, j).
-type pairBufIter struct {
-	b   *pairBuf
+// bufIter streams a spillBuf once: file records first, then the resident
+// tail. Its close closes the buffer; a replay leaves the buffer open.
+type bufIter[R any] struct {
+	b   *spillBuf[R]
 	d   *recDecoder
 	pos int
 }
 
-func (b *pairBuf) iter() (pairIter, error) {
-	it := &pairBufIter{b: b}
+func (b *spillBuf[R]) iter() (*bufIter[R], error) {
+	it := &bufIter[R]{b: b}
 	if b.file != nil {
 		d, err := b.file.reader()
 		if err != nil {
@@ -405,19 +378,20 @@ func (b *pairBuf) iter() (pairIter, error) {
 	return it, nil
 }
 
-func (it *pairBufIter) next() (pairRec, bool, error) {
+func (it *bufIter[R]) next() (R, bool, error) {
+	var zero R
 	if it.d != nil {
 		kind, ok, err := it.d.readKind()
 		if err != nil {
-			return pairRec{}, false, fmt.Errorf("%w: %v", ErrSpill, err)
+			return zero, false, fmt.Errorf("%w: %v", ErrSpill, err)
 		}
 		if ok {
-			if kind != recKindPair {
-				return pairRec{}, false, fmt.Errorf("%w: unexpected record kind in pair stream", ErrSpill)
+			if kind != it.b.codec.kind {
+				return zero, false, fmt.Errorf("%w: unexpected record kind 0x%02x", ErrSpill, kind)
 			}
-			r, err := it.d.readPairRec()
+			r, err := it.b.codec.read(it.d)
 			if err != nil {
-				return pairRec{}, false, fmt.Errorf("%w: %v", ErrSpill, err)
+				return zero, false, fmt.Errorf("%w: %v", ErrSpill, err)
 			}
 			return r, true, nil
 		}
@@ -428,26 +402,31 @@ func (it *pairBufIter) next() (pairRec, bool, error) {
 		it.pos++
 		return r, true, nil
 	}
-	return pairRec{}, false, nil
+	return zero, false, nil
 }
 
-func (it *pairBufIter) close() { it.b.close() }
+func (it *bufIter[R]) close() { it.b.close() }
 
-// pairMerge merges pair streams by ascending (i, j). Fan-in is small
+// merge merges record streams ascending by less. Fan-in is small
 // (spillFanout or a partition's block count), so a linear argmin scan beats
-// a heap. It is a pairIter itself, so partition streams compose into the
-// top-level merge.
-type pairMerge struct {
-	its   []pairIter
-	heads []pairRec
+// a heap. It is a recIter itself, so partition streams compose into the
+// top-level merge. Ties cannot occur: pairs are unique (i, j), and first
+// indexes are unique across group streams (each input record opens at most
+// one group, and a key lives in exactly one partition).
+type merge[R any] struct {
+	its   []recIter[R]
+	less  func(a, b R) bool
+	heads []R
 	live  []bool
 }
 
-func newPairMerge(its []pairIter) (*pairMerge, error) {
-	m := &pairMerge{its: its, heads: make([]pairRec, len(its)), live: make([]bool, len(its))}
+// newMerge primes every stream; on failure it closes them all.
+func newMerge[R any](its []recIter[R], less func(a, b R) bool) (*merge[R], error) {
+	m := &merge[R]{its: its, less: less, heads: make([]R, len(its)), live: make([]bool, len(its))}
 	for k, it := range its {
 		r, ok, err := it.next()
 		if err != nil {
+			m.close()
 			return nil, err
 		}
 		m.heads[k], m.live[k] = r, ok
@@ -455,34 +434,35 @@ func newPairMerge(its []pairIter) (*pairMerge, error) {
 	return m, nil
 }
 
-func (m *pairMerge) next() (pairRec, bool, error) {
+func (m *merge[R]) next() (R, bool, error) {
+	var zero R
 	best := -1
 	for k := range m.its {
-		if !m.live[k] {
-			continue
-		}
-		if best < 0 || m.heads[k].i < m.heads[best].i ||
-			(m.heads[k].i == m.heads[best].i && m.heads[k].j < m.heads[best].j) {
+		if m.live[k] && (best < 0 || m.less(m.heads[k], m.heads[best])) {
 			best = k
 		}
 	}
 	if best < 0 {
-		return pairRec{}, false, nil
+		return zero, false, nil
 	}
 	out := m.heads[best]
 	r, ok, err := m.its[best].next()
 	if err != nil {
-		return pairRec{}, false, err
+		return zero, false, err
 	}
 	m.heads[best], m.live[best] = r, ok
 	return out, true, nil
 }
 
-func (m *pairMerge) close() {
+func (m *merge[R]) close() {
 	for _, it := range m.its {
 		it.close()
 	}
 }
+
+func pairLess(a, b pairRec) bool { return a.i < b.i || (a.i == b.i && a.j < b.j) }
+
+func groupLess(a, b groupRec) bool { return a.first < b.first }
 
 // ---------------------------------------------------------------------------
 // Trace sub-spans
@@ -519,11 +499,11 @@ func recordPartitions(ec *core.ExecContext, kind string, parts []partStat) {
 // ordering argument; the result is byte-identical to joinMatch.emit.
 func joinSpill(ec *core.ExecContext, r1, r2 *Relation, net *aonet.Network, sh joinShape) (*Relation, error) {
 	chk := core.Check{EC: ec}
-	probe := make([]*idxBuf, spillFanout)
-	build := make([]*idxBuf, spillFanout)
+	probe := make([]*spillBuf[int32], spillFanout)
+	build := make([]*spillBuf[int32], spillFanout)
 	for p := 0; p < spillFanout; p++ {
-		probe[p] = &idxBuf{ec: ec}
-		build[p] = &idxBuf{ec: ec}
+		probe[p] = newSpillBuf(ec, indexCodec)
+		build[p] = newSpillBuf(ec, indexCodec)
 	}
 	defer func() {
 		for p := 0; p < spillFanout; p++ {
@@ -550,17 +530,12 @@ func joinSpill(ec *core.ExecContext, r1, r2 *Relation, net *aonet.Network, sh jo
 
 	parts := make([]partStat, spillFanout)
 	rows := 0 // the join's size, for the output arena
-	streams := make([]pairIter, 0, spillFanout)
-	closeStreams := func() {
-		for _, it := range streams {
-			it.close()
-		}
-	}
+	streams := make([]recIter[pairRec], 0, spillFanout)
 	for p := 0; p < spillFanout; p++ {
 		start := time.Now()
 		it, matches, err := joinSpillPartition(ec, probe[p], build[p], r1, r2, sh)
 		if err != nil {
-			closeStreams()
+			closeAll(streams)
 			return nil, err
 		}
 		streams = append(streams, it)
@@ -569,9 +544,8 @@ func joinSpill(ec *core.ExecContext, r1, r2 *Relation, net *aonet.Network, sh jo
 	}
 	recordPartitions(ec, "join.spill", parts)
 
-	merged, err := newPairMerge(streams)
+	merged, err := newMerge(streams, pairLess)
 	if err != nil {
-		closeStreams()
 		return nil, err
 	}
 	defer merged.close()
@@ -593,42 +567,51 @@ func joinSpill(ec *core.ExecContext, r1, r2 *Relation, net *aonet.Network, sh jo
 	}
 }
 
+// closeAll closes every stream of a set being abandoned.
+func closeAll[R any](its []recIter[R]) {
+	for _, it := range its {
+		it.close()
+	}
+}
+
 // joinSpillPartition produces one partition's match stream, ascending (i, j),
 // by block nested-loop: load build indexes into an in-memory hash table until
 // the charge hook trips (always at least one), probe the partition's probe
 // indexes against the block, emit (i, j) pairs into a spill-backed buffer,
 // repeat for the next block, then merge the block streams. Also returns the
 // partition's match count for the trace sub-span.
-func joinSpillPartition(ec *core.ExecContext, probe, build *idxBuf, r1, r2 *Relation, sh joinShape) (pairIter, int, error) {
+func joinSpillPartition(ec *core.ExecContext, probe, build *spillBuf[int32], r1, r2 *Relation, sh joinShape) (recIter[pairRec], int, error) {
 	chk := core.Check{EC: ec}
-	var blocks []*pairBuf
-	closeBlocks := func() {
-		for _, b := range blocks {
-			b.close()
-		}
+	var blocks []recIter[pairRec]
+	// One read of the build partition carries on from block to block:
+	// blocks are contiguous windows of the build arrival order — later
+	// blocks hold strictly larger j — and nothing of the build side is
+	// resident between blocks, so the table and its member list are the
+	// only budget-bounded structures. bit is not closed here: joinSpill
+	// owns the build buffer and closes it.
+	bit, err := build.iter()
+	if err != nil {
+		return nil, 0, err
 	}
-
-	// Block nested-loop over the build side: each round replays the build
-	// partition, skips the lo entries already consumed, and loads entries
-	// into the group table until the charge hook trips (with at least one
-	// per round, so rounds always progress). Blocks are contiguous windows
-	// of the build arrival order — later blocks hold strictly larger j —
-	// and nothing of the build side is resident between rounds, so the
-	// table and its member list are the only budget-bounded structures.
 	matches := 0
-	for lo := 0; ; {
+	for sealed := true; sealed; {
 		tab := getTable(ec, 0)
 		var members []int32 // chained entry e is r2.Tuples[members[e]]
 		var blockCharge int64
-		pos := 0
-		err := build.replay(func(j int32) error {
-			if pos < lo {
-				pos++
-				return nil
+		sealed = false
+		for !sealed {
+			j, ok, err := bit.next()
+			if err == nil && ok {
+				err = chk.Tick()
 			}
-			pos++
-			if err := chk.Tick(); err != nil {
-				return err
+			if err != nil {
+				putTable(ec, tab)
+				ec.ReleaseMem(blockCharge)
+				closeAll(blocks)
+				return nil, 0, err
+			}
+			if !ok {
+				break
 			}
 			vals := r2.Tuples[j].Vals
 			tab.chain(tab.get(vals.HashAt(sh.idx2), func(id int32) bool {
@@ -637,23 +620,14 @@ func joinSpillPartition(ec *core.ExecContext, probe, build *idxBuf, r1, r2 *Rela
 			members = append(members, j)
 			// One entry: member and chain links, its share of slots and hashes.
 			blockCharge += 32
-			if ec.ChargeMem(32) {
-				return errBlockSealed
-			}
-			return nil
-		})
-		sealed := errors.Is(err, errBlockSealed)
-		failed := err != nil && !sealed
-		if failed || len(members) == 0 {
+			sealed = ec.ChargeMem(32)
+		}
+		if len(members) == 0 {
 			putTable(ec, tab)
 			ec.ReleaseMem(blockCharge)
-			if failed {
-				closeBlocks()
-				return nil, 0, err
-			}
 			break
 		}
-		bb := &pairBuf{ec: ec}
+		bb := newSpillBuf(ec, pairCodec)
 		err = probe.replay(func(i int32) error {
 			if err := chk.Tick(); err != nil {
 				return err
@@ -674,44 +648,23 @@ func joinSpillPartition(ec *core.ExecContext, probe, build *idxBuf, r1, r2 *Rela
 		})
 		putTable(ec, tab)
 		ec.ReleaseMem(blockCharge)
+		var it *bufIter[pairRec]
+		if err == nil {
+			it, err = bb.iter()
+		}
 		if err != nil {
 			bb.close()
-			closeBlocks()
+			closeAll(blocks)
 			return nil, 0, err
 		}
 		matches += bb.count
-		blocks = append(blocks, bb)
-		lo += len(members)
-		if !sealed {
-			break
-		}
+		blocks = append(blocks, it)
 	}
-
 	if len(blocks) == 1 {
-		it, err := blocks[0].iter()
-		if err != nil {
-			closeBlocks()
-			return nil, 0, err
-		}
-		return it, matches, nil
+		return blocks[0], matches, nil
 	}
-	its := make([]pairIter, 0, len(blocks))
-	for _, b := range blocks {
-		it, err := b.iter()
-		if err != nil {
-			for _, open := range its {
-				open.close()
-			}
-			closeBlocks()
-			return nil, 0, err
-		}
-		its = append(its, it)
-	}
-	m, err := newPairMerge(its)
+	m, err := newMerge(blocks, pairLess)
 	if err != nil {
-		for _, open := range its {
-			open.close()
-		}
 		return nil, 0, err
 	}
 	return m, matches, nil
@@ -719,261 +672,6 @@ func joinSpillPartition(ec *core.ExecContext, probe, build *idxBuf, r1, r2 *Rela
 
 // ---------------------------------------------------------------------------
 // Dedup
-
-// tupleBuf buffers full pL-tuples with their arrival sequence (dedup
-// partitions; the input may be a stream, so records must carry their data).
-type tupleBuf struct {
-	ec      *core.ExecContext
-	mem     []tupleRec
-	file    *spillFile
-	charged int64
-	scratch []byte
-	count   int
-}
-
-func (b *tupleBuf) add(r tupleRec) error {
-	b.count++
-	if b.file != nil {
-		b.scratch = appendTupleRec(b.scratch[:0], r)
-		return b.file.write(b.ec, b.scratch)
-	}
-	b.mem = append(b.mem, r)
-	c := approxTupleBytes(r.t)
-	b.charged += c
-	if b.ec.ChargeMem(c) {
-		return b.flush()
-	}
-	return nil
-}
-
-func (b *tupleBuf) flush() error {
-	if len(b.mem) == 0 {
-		return nil
-	}
-	if b.file == nil {
-		f, err := newSpillFile()
-		if err != nil {
-			return err
-		}
-		b.file = f
-		b.ec.AddSpillPartitions(1)
-	}
-	for _, r := range b.mem {
-		b.scratch = appendTupleRec(b.scratch[:0], r)
-		if err := b.file.write(b.ec, b.scratch); err != nil {
-			return err
-		}
-	}
-	b.mem = b.mem[:0]
-	b.ec.ReleaseMem(b.charged)
-	b.charged = 0
-	return nil
-}
-
-// replay streams the buffered records in arrival order.
-func (b *tupleBuf) replay(f func(r tupleRec) error) error {
-	if b.file != nil {
-		d, err := b.file.reader()
-		if err != nil {
-			return err
-		}
-		for {
-			kind, ok, err := d.readKind()
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrSpill, err)
-			}
-			if !ok {
-				break
-			}
-			if kind != recKindTuple {
-				return fmt.Errorf("%w: unexpected record kind in tuple stream", ErrSpill)
-			}
-			r, err := d.readTupleRec()
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrSpill, err)
-			}
-			if err := f(r); err != nil {
-				return err
-			}
-		}
-	}
-	for _, r := range b.mem {
-		if err := f(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (b *tupleBuf) close() {
-	b.file.close()
-	b.ec.ReleaseMem(b.charged)
-	b.charged = 0
-	b.mem = nil
-}
-
-// groupBuf buffers finished dedup groups in ascending first-arrival order.
-type groupBuf struct {
-	ec      *core.ExecContext
-	mem     []groupRec
-	file    *spillFile
-	charged int64
-	scratch []byte
-}
-
-func approxGroupBytes(g groupRec) int64 {
-	n := int64(48) + int64(16*len(g.members))
-	for _, v := range g.vals {
-		n += approxValueBytes(v)
-	}
-	return n
-}
-
-func (b *groupBuf) add(g groupRec) error {
-	if b.file != nil {
-		b.scratch = appendGroupRec(b.scratch[:0], g)
-		return b.file.write(b.ec, b.scratch)
-	}
-	b.mem = append(b.mem, g)
-	c := approxGroupBytes(g)
-	b.charged += c
-	if b.ec.ChargeMem(c) {
-		return b.flush()
-	}
-	return nil
-}
-
-func (b *groupBuf) flush() error {
-	if len(b.mem) == 0 {
-		return nil
-	}
-	if b.file == nil {
-		f, err := newSpillFile()
-		if err != nil {
-			return err
-		}
-		b.file = f
-		b.ec.AddSpillPartitions(1)
-	}
-	for _, g := range b.mem {
-		b.scratch = appendGroupRec(b.scratch[:0], g)
-		if err := b.file.write(b.ec, b.scratch); err != nil {
-			return err
-		}
-	}
-	b.mem = b.mem[:0]
-	b.ec.ReleaseMem(b.charged)
-	b.charged = 0
-	return nil
-}
-
-func (b *groupBuf) close() {
-	b.file.close()
-	b.ec.ReleaseMem(b.charged)
-	b.charged = 0
-	b.mem = nil
-}
-
-// groupIter streams groupRecs ascending by first-arrival index.
-type groupIter interface {
-	next() (groupRec, bool, error)
-	close()
-}
-
-type groupBufIter struct {
-	b   *groupBuf
-	d   *recDecoder
-	pos int
-}
-
-func (b *groupBuf) iter() (groupIter, error) {
-	it := &groupBufIter{b: b}
-	if b.file != nil {
-		d, err := b.file.reader()
-		if err != nil {
-			return nil, err
-		}
-		it.d = d
-	}
-	return it, nil
-}
-
-func (it *groupBufIter) next() (groupRec, bool, error) {
-	if it.d != nil {
-		kind, ok, err := it.d.readKind()
-		if err != nil {
-			return groupRec{}, false, fmt.Errorf("%w: %v", ErrSpill, err)
-		}
-		if ok {
-			if kind != recKindGroup {
-				return groupRec{}, false, fmt.Errorf("%w: unexpected record kind in group stream", ErrSpill)
-			}
-			g, err := it.d.readGroupRec()
-			if err != nil {
-				return groupRec{}, false, fmt.Errorf("%w: %v", ErrSpill, err)
-			}
-			return g, true, nil
-		}
-		it.d = nil
-	}
-	if it.pos < len(it.b.mem) {
-		g := it.b.mem[it.pos]
-		it.pos++
-		return g, true, nil
-	}
-	return groupRec{}, false, nil
-}
-
-func (it *groupBufIter) close() { it.b.close() }
-
-// groupMerge merges group streams ascending by first-arrival index. First
-// indexes are unique across streams (each input record opens at most one
-// group, and a key lives in exactly one partition), so ties cannot occur.
-type groupMerge struct {
-	its   []groupIter
-	heads []groupRec
-	live  []bool
-}
-
-func newGroupMerge(its []groupIter) (*groupMerge, error) {
-	m := &groupMerge{its: its, heads: make([]groupRec, len(its)), live: make([]bool, len(its))}
-	for k, it := range its {
-		g, ok, err := it.next()
-		if err != nil {
-			return nil, err
-		}
-		m.heads[k], m.live[k] = g, ok
-	}
-	return m, nil
-}
-
-func (m *groupMerge) next() (groupRec, bool, error) {
-	best := -1
-	for k := range m.its {
-		if !m.live[k] {
-			continue
-		}
-		if best < 0 || m.heads[k].first < m.heads[best].first {
-			best = k
-		}
-	}
-	if best < 0 {
-		return groupRec{}, false, nil
-	}
-	out := m.heads[best]
-	g, ok, err := m.its[best].next()
-	if err != nil {
-		return groupRec{}, false, err
-	}
-	m.heads[best], m.live[best] = g, ok
-	return out, true, nil
-}
-
-func (m *groupMerge) close() {
-	for _, it := range m.its {
-		it.close()
-	}
-}
 
 // hashPart assigns a key hash (tuple.Tuple.HashAt) to one of w partitions.
 // The hash is remixed with a level-dependent seed, so a partition that
@@ -1034,14 +732,14 @@ func dedupSpill(ec *core.ExecContext, attrs tuple.Schema, src Iterator, net *aon
 // dedupPartition spreads the records feed produces over the level's
 // partitions by key hash (all: every position of a tuple) and returns the
 // merged group stream with the per-partition trace measurements.
-func dedupPartition(ec *core.ExecContext, level int, all []int, feed func(add func(tupleRec) error) error) (groupIter, []partStat, error) {
+func dedupPartition(ec *core.ExecContext, level int, all []int, feed func(add func(tupleRec) error) error) (recIter[groupRec], []partStat, error) {
 	fan := spillFanout
 	if level > 0 {
 		fan = dedupSubFanout
 	}
-	parts := make([]*tupleBuf, fan)
+	parts := make([]*spillBuf[tupleRec], fan)
 	for p := range parts {
-		parts[p] = &tupleBuf{ec: ec}
+		parts[p] = newSpillBuf(ec, tupleCodec)
 	}
 	if err := feed(func(r tupleRec) error {
 		return parts[hashPart(r.t.Vals.HashAt(all), fan, uint64(level))].add(r)
@@ -1056,14 +754,9 @@ func dedupPartition(ec *core.ExecContext, level int, all []int, feed func(add fu
 
 // dedupMergePartitions groups every partition (recursing past the budget
 // while depth remains) and merges the resulting group streams.
-func dedupMergePartitions(ec *core.ExecContext, parts []*tupleBuf, level int, all []int) (groupIter, []partStat, error) {
+func dedupMergePartitions(ec *core.ExecContext, parts []*spillBuf[tupleRec], level int, all []int) (recIter[groupRec], []partStat, error) {
 	stats := make([]partStat, len(parts))
-	its := make([]groupIter, 0, len(parts))
-	closeIts := func() {
-		for _, it := range its {
-			it.close()
-		}
-	}
+	its := make([]recIter[groupRec], 0, len(parts))
 	// Phase boundary: if the budget forced any partition onto disk, the
 	// operator is memory-tight — flush every partition so each one's group
 	// table gets the budget to itself instead of competing with its
@@ -1088,7 +781,7 @@ func dedupMergePartitions(ec *core.ExecContext, parts []*tupleBuf, level int, al
 		it, groups, err := dedupGroupPartition(ec, buf, level, all)
 		buf.close()
 		if err != nil {
-			closeIts()
+			closeAll(its)
 			for _, rest := range parts[p+1:] {
 				rest.close()
 			}
@@ -1097,9 +790,8 @@ func dedupMergePartitions(ec *core.ExecContext, parts []*tupleBuf, level int, al
 		its = append(its, it)
 		stats[p] = partStat{rows: groups, dur: time.Since(start)}
 	}
-	m, err := newGroupMerge(its)
+	m, err := newMerge(its, groupLess)
 	if err != nil {
-		closeIts()
 		return nil, nil, err
 	}
 	return m, stats, nil
@@ -1110,7 +802,7 @@ func dedupMergePartitions(ec *core.ExecContext, parts []*tupleBuf, level int, al
 // recursion depth remains, it abandons the table and re-partitions with a
 // fresh hash seed. At the recursion cap it groups in memory regardless —
 // the budget floor term (see docs/SPILL.md).
-func dedupGroupPartition(ec *core.ExecContext, buf *tupleBuf, level int, all []int) (groupIter, int, error) {
+func dedupGroupPartition(ec *core.ExecContext, buf *spillBuf[tupleRec], level int, all []int) (recIter[groupRec], int, error) {
 	tab := getTable(ec, 0)
 	defer putTable(ec, tab)
 	var recs []groupRec // by group id, which is first-occurrence order
@@ -1162,7 +854,7 @@ func dedupGroupPartition(ec *core.ExecContext, buf *tupleBuf, level int, all []i
 	}
 	// Emit in first-occurrence order into a (possibly spilling) group
 	// buffer, releasing the table charge as we go.
-	gb := &groupBuf{ec: ec}
+	gb := newSpillBuf(ec, groupCodec)
 	for _, rec := range recs {
 		if err := gb.add(rec); err != nil {
 			release()
@@ -1182,7 +874,3 @@ func dedupGroupPartition(ec *core.ExecContext, buf *tupleBuf, level int, all []i
 // errDedupOverflow is the internal signal that a partition's group table hit
 // the budget and should recurse; never escapes the dedup path.
 var errDedupOverflow = errors.New("pl: dedup partition overflow")
-
-// errBlockSealed is the internal signal that a join build block reached the
-// budget and should stop loading; never escapes the join path.
-var errBlockSealed = errors.New("pl: join build block sealed")

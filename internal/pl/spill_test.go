@@ -340,3 +340,75 @@ func TestSpillTracePartitions(t *testing.T) {
 		t.Errorf("project.spill sub-spans = %d, want %d", kinds["project.spill"], spillFanout)
 	}
 }
+
+// TestSpillReadFault: a spill file that comes back short surfaces as a typed
+// ErrSpill from the buffer's iterator, for every record kind, and closing
+// the buffer leaves nothing charged.
+func TestSpillReadFault(t *testing.T) {
+	vals := tuple.Tuple{tuple.Int(-7), tuple.String("spill"), tuple.Float(0.25)}
+	edges := []aonet.Edge{{From: 3, P: 0.5}, {From: 9, P: 0.75}}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"index", func(t *testing.T) { truncatedReadCase(t, indexCodec, []int32{1, 300, 70000}) }},
+		{"pair", func(t *testing.T) { truncatedReadCase(t, pairCodec, []pairRec{{1, 2}, {3, 400}, {5, 70000}}) }},
+		{"tuple", func(t *testing.T) {
+			truncatedReadCase(t, tupleCodec, []tupleRec{{0, Tuple{Vals: vals, P: 0.5, Lin: 4}}, {1, Tuple{Vals: vals, P: 1}}})
+		}},
+		{"group", func(t *testing.T) {
+			truncatedReadCase(t, groupCodec, []groupRec{{0, vals, edges}, {2, vals, edges}})
+		}},
+	} {
+		t.Run(tc.name, tc.run)
+	}
+}
+
+func truncatedReadCase[R any](t *testing.T, c *recCodec[R], recs []R) {
+	ec := memEC(1)
+	b := newSpillBuf(ec, c)
+	for _, r := range recs {
+		if err := b.add(r); err != nil {
+			t.Fatalf("add: %v", err)
+		}
+	}
+	if err := b.flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	if b.file == nil {
+		t.Fatal("buffer did not spill at a one-byte budget")
+	}
+	if err := b.file.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := b.file.f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.file.f.Truncate(st.Size() - 1); err != nil {
+		t.Fatal(err)
+	}
+	it, err := b.iter()
+	if err != nil {
+		t.Fatalf("iter: %v", err)
+	}
+	n := 0
+	for {
+		_, ok, err := it.next()
+		if err != nil {
+			if !errors.Is(err, ErrSpill) {
+				t.Errorf("err = %v, want ErrSpill", err)
+			}
+			break
+		}
+		if !ok {
+			t.Errorf("truncated stream ended cleanly after %d of %d records", n, len(recs))
+			break
+		}
+		n++
+	}
+	it.close()
+	if got := ec.MemCharged(); got != 0 {
+		t.Errorf("%d bytes still charged after close", got)
+	}
+}
